@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonConvergentError
-from .maps import LocalDiskTwist, MapExpr, RigidRotation, Twist
+from .maps import LocalDiskTwist, MapExpr, RigidRotation, Twist, orbit_arrays
 from .phase_space import (
     AnnulusPoint,
     CanonicalBeta,
@@ -33,11 +33,10 @@ from .phase_space import (
 from .quadrature import (
     action_descriptor,
     displacement_descriptor,
-    integrate_path_parameter,
     integrate_unit_interval,
     tree_field_integral,
 )
-from .util import pairwise_sum
+from .util import integrate_path_parameter, pairwise_sum
 
 BIRKHOFF_N_ITER = 1_000_000
 BIRKHOFF_TOL = 1e-6
@@ -174,7 +173,7 @@ def action_values_raw(m: MapExpr, x, y):
             total = total + _bump_action_values(leaf, xt, yy)
         else:
             raise TypeError(f"not a primitive map factor: {leaf!r}")
-        xt, yy = leaf.apply_lift(xt, yy)
+        xt, yy, _ = leaf.step(xt, yy)
     return total
 
 
@@ -216,7 +215,7 @@ def _bump_stage_margins(m: MapExpr, xt, y):
         if isinstance(leaf, LocalDiskTwist):
             u, v = leaf.chart_offsets(xt, yy)
             margins.append(np.hypot(u, v) - leaf.radius)
-        xt, yy = leaf.apply_lift(xt, yy)
+        xt, yy, _ = leaf.step(xt, yy)
     return margins
 
 
@@ -352,35 +351,23 @@ def birkhoff_average(values: np.ndarray) -> tuple[float, float]:
     return mean_n, err
 
 
-def _boundary_orbit_values(m: MapExpr, ctx: ActionContext, which: str, n_iter: int):
-    from .maps import boundary_circle_map
-
-    bcm = boundary_circle_map(m, which)
-    xs = bcm.orbit(0.0, n_iter - 1)
-    ys = np.full_like(xs, bcm.y_boundary)
-    return action_function_values(m, ctx, xs % 1.0, ys)
-
-
 def measure_action(m: MapExpr, ctx: ActionContext, mu: MeasureSpec,
                    tol: float = BIRKHOFF_TOL) -> ActionValue:
     """Action of an invariant measure: integral of the action function.
 
-    Boundary and empirical measures use Birkhoff averages along true orbits
-    (raising NonConvergentError when the tail fluctuation stays above tol at
-    n_iter); the area measure delegates to the mean-action quadrature; orbit
-    measures are exact finite averages.
+    Boundary actions are exact, with error 0: every leaf rotates each
+    boundary circle rigidly and adds a constant there, so g is constant on the
+    boundary and equals its Birkhoff mean (n_iter is not used). Empirical
+    measures use Birkhoff averages along true orbits (raising
+    NonConvergentError when the tail fluctuation stays above tol at n_iter);
+    the area measure delegates to the mean-action quadrature; orbit measures
+    are exact finite averages.
     """
     if mu.variant == "area":
         return calabi(m, ctx)
     if mu.variant in ("boundary_lower", "boundary_upper"):
-        which = "lower" if mu.variant == "boundary_lower" else "upper"
-        vals = _boundary_orbit_values(m, ctx, which, mu.n_iter)
-        mean, err = birkhoff_average(vals)
-        if err > tol:
-            raise NonConvergentError(
-                f"boundary Birkhoff average fluctuation {err:.3g} above {tol} "
-                f"after {mu.n_iter} iterates", value=mean, increment=err)
-        return ActionValue(mean, err)
+        y_b = 0.0 if mu.variant == "boundary_lower" else 1.0
+        return ActionValue(float(action_function_values(m, ctx, 0.0, y_b)), 0.0)
     if mu.variant == "orbit":
         pts = mu.orbit.points
         xs = np.array([pt.xt for pt in pts])
@@ -400,15 +387,7 @@ def measure_action(m: MapExpr, ctx: ActionContext, mu: MeasureSpec,
 
 
 def _orbit_arrays(m: MapExpr, seed: AnnulusPoint, n: int):
-    xs = np.empty(n)
-    ys = np.empty(n)
-    xt, y = float(seed.x), float(seed.y)
-    for j in range(n):
-        xs[j] = xt
-        ys[j] = y
-        xt2, y2 = m.apply_lift(xt, y)
-        xt, y = float(xt2), float(y2)
-    return xs, ys
+    return orbit_arrays(m, seed.x, seed.y, n)
 
 
 def additivity_defect(m1: MapExpr, m2: MapExpr, ctx: ActionContext | None = None,

@@ -41,6 +41,7 @@ from .harness import (
     action_gap,
     candidate_windings,
     example_local_perturbation,
+    local_perturbation_map,
     q_threshold,
     verify_theorem,
 )
@@ -54,6 +55,9 @@ from .maps import (
     area_defect,
     map_from_config,
     map_from_shorthand,
+    orbit_arrays,
+    random_builtin,
+    random_composition,
 )
 from .orbits import SearchConfig, find_periodic_orbits, orbits_to_csv
 from .phase_space import AnnulusPoint, LiftedPoint, PolylinePath, ShiftedBeta
@@ -394,17 +398,11 @@ def render_report_json(rep: VerificationReport) -> str:
 def phase_portrait_csv(m: MapExpr, seeds_per_axis: int = 12, steps: int = 200) -> str:
     """Plot-ready trajectories: kind,id,step,x,y with deterministic seeds."""
     lines = ["kind,id,step,x,y"]
-    sid = 0
-    for i in range(seeds_per_axis):
-        for j in range(seeds_per_axis):
-            x = (i + 0.5) / seeds_per_axis
-            y = (j + 0.5) / seeds_per_axis
-            xt, yy = x, y
-            for step in range(steps):
-                lines.append(f"trajectory,{sid},{step},{xt % 1.0!r},{yy!r}")
-                xt2, yy2 = m.apply_lift(xt, yy)
-                xt, yy = float(xt2), float(yy2)
-            sid += 1
+    for sid in range(seeds_per_axis**2):
+        i, j = divmod(sid, seeds_per_axis)
+        xs, ys = orbit_arrays(m, (i + 0.5) / seeds_per_axis, (j + 0.5) / seeds_per_axis, steps)
+        for step, (xt, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+            lines.append(f"trajectory,{sid},{step},{xt % 1.0!r},{y!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -562,19 +560,17 @@ def cmd_verify(args) -> int:
 
 def cmd_example41(args) -> int:
     cx, cy = (float(t) for t in args.center.split(","))
+    center = AnnulusPoint(cx, cy)
     try:
         rep = example_local_perturbation(
-            args.a, AnnulusPoint(cx, cy), args.radius, args.c,
+            args.a, center, args.radius, args.c,
             q_max=args.q_max, workers=_workers(args.workers),
         )
     except DegenerateGapError as e:
         print(f"DegenerateGap: {e}")
         return EXIT_INCONCLUSIVE
     if args.out_dir:
-        bump = LocalDiskTwist.poly_bump(AnnulusPoint(cx, cy), args.radius, args.c)
-        from .maps import Compose as _Compose
-
-        m = _Compose(RigidRotation(args.a), bump)
+        m = local_perturbation_map(args.a, center, args.radius, args.c)
         for path in write_verification_outputs(rep, m, args.out_dir, "example41"):
             print(f"wrote {path}")
     print(render_report_text(rep), end="")
@@ -584,31 +580,6 @@ def cmd_example41(args) -> int:
 # ---------------------------------------------------------------------------
 # audit suites
 # ---------------------------------------------------------------------------
-
-def _random_built_in(rng: np.random.Generator) -> MapExpr:
-    kind = rng.integers(0, 4)
-    if kind == 0:
-        return RigidRotation(float(rng.uniform(-1.0, 1.0)))
-    if kind == 1:
-        return Twist(LinearProfile())
-    if kind == 2:
-        return Twist(PolyBumpProfile(float(rng.uniform(-1.5, 1.5))))
-    cy = float(rng.uniform(0.25, 0.75))
-    cx = float(rng.uniform(0.0, 1.0))
-    radius = float(rng.uniform(0.3, 0.9)) * min(cy, 1.0 - cy)
-    c = float(rng.uniform(-6.0, 6.0))
-    return LocalDiskTwist.poly_bump(AnnulusPoint(cx, cy), radius, c)
-
-
-def _random_composition(rng: np.random.Generator, max_leaves: int = 3) -> MapExpr:
-    from .maps import Compose as _Compose
-
-    n = int(rng.integers(1, max_leaves + 1))
-    expr = _random_built_in(rng)
-    for _ in range(n - 1):
-        expr = _Compose(_random_built_in(rng), expr)
-    return expr
-
 
 def _audit_line(name: str, worst: float, tol: float) -> tuple[str, bool]:
     ok = worst < tol
@@ -628,7 +599,7 @@ def cmd_audit(args) -> int:
     ]
     worst = max(area_defect(m, 64) for m in families)
     for _ in range(args.trials // 4):
-        worst = max(worst, area_defect(_random_composition(rng), 64))
+        worst = max(worst, area_defect(random_composition(rng), 64))
     line, ok = _audit_line("area preservation (64x64 grids)", worst, 1e-9)
     lines.append(line)
     ok_all &= ok
@@ -636,7 +607,7 @@ def cmd_audit(args) -> int:
     ctx = ActionContext.default()
     worst = 0.0
     for _ in range(args.trials):
-        m = _random_composition(rng)
+        m = random_composition(rng)
         target = AnnulusPoint(float(rng.uniform(0, 1)), float(rng.uniform(0.05, 1)))
         mid = LiftedPoint(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
         dogleg = PolylinePath((LiftedPoint(0.0, 0.0), mid, LiftedPoint(target.x, target.y)))
@@ -647,8 +618,8 @@ def cmd_audit(args) -> int:
 
     worst = 0.0
     for _ in range(args.trials):
-        m1 = _random_built_in(rng)
-        m2 = _random_built_in(rng)
+        m1 = random_builtin(rng)
+        m2 = random_builtin(rng)
         worst = max(worst, additivity_defect(m1, m2, ctx))
     line, ok = _audit_line("mean-action additivity (random pairs)", worst, 1e-8)
     lines.append(line)

@@ -305,6 +305,12 @@ def verify_theorem(m: MapExpr, mu1: MeasureSpec, mu2: MeasureSpec, q_max: int,
     )
 
 
+def local_perturbation_map(a: float, center: AnnulusPoint, R: float, c: float) -> Compose:
+    """The local-perturbation map: rigid rotation by a after a polynomial disk
+    twist of strength c and radius R about center."""
+    return Compose(RigidRotation(a), LocalDiskTwist.poly_bump(center, R, c))
+
+
 def example_local_perturbation(a: float, center: AnnulusPoint, R: float, c: float,
                                q_max: int | None = None,
                                cfg: SearchConfig | None = None,
@@ -314,11 +320,8 @@ def example_local_perturbation(a: float, center: AnnulusPoint, R: float, c: floa
     composite equals the twist's (the rotation contributes none) and that the
     boundary actions stay zero, then verify the orbit predictions against the
     (area, lower boundary) measure pair."""
-    if not isinstance(center, AnnulusPoint):
-        center = AnnulusPoint(*center)
-    bump = LocalDiskTwist.poly_bump(center, R, c)
-    rot = RigidRotation(a)
-    perturbed = Compose(rot, bump)
+    perturbed = local_perturbation_map(a, center, R, c)
+    rot, bump = perturbed.outer, perturbed.inner
     ctx = ActionContext.default()
 
     from .action import additivity_defect, calabi

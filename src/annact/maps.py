@@ -7,6 +7,14 @@ preserves both boundary circles, has unit Jacobian determinant, and carries the
 canonical lift that is continuous in parameters and reduces to the identity at
 zero parameters.
 
+Each primitive leaf implements one method, step(xt, y, with_jacobian) ->
+(xt', y', D). It computes the leaf's intermediate quantities (chart offsets,
+radius, rotation) once and forms the differential D from them only when asked;
+D is None when not asked or when the differential is the identity. Composition
+and iteration only record their leaves, in application order. apply_lift,
+jacobian and the fused lift_with_jacobian are each one forward pass over
+leaves(), and orbit_arrays iterates that pass along orbits.
+
 All evaluation routines are vectorized over numpy arrays; the AnnulusPoint /
 LiftedPoint wrappers are thin scalar front ends.
 """
@@ -17,15 +25,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError
 from .phase_space import AnnulusPoint, LiftedPoint, wrap_turn
-
-
-def _wrapped_delta(dx):
-    """Signed angular difference in turns, reduced to [-0.5, 0.5)."""
-    return (np.asarray(dx, dtype=float) + 0.5) % 1.0 - 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +120,8 @@ class TabulatedProfile(TwistProfile):
             raise ValueError("need matching 1-d sample arrays with at least 4 points")
         if abs(ys[0]) > 1e-12 or abs(ys[-1] - 1.0) > 1e-12:
             raise ValueError("tabulated profile must cover [0, 1]")
+        from scipy.interpolate import CubicSpline
+
         self._ys = ys
         self._phis = phis
         self._spline = CubicSpline(ys, phis)
@@ -258,6 +262,8 @@ class TabulatedRadial(RadialProfile):
             raise ValueError("radial samples must start at r = 0")
         if abs(phis[-1]) > 1e-10:
             raise ValueError("radial profile must vanish at the support edge")
+        from scipy.interpolate import CubicSpline
+
         self.R = float(rs[-1])
         self._rs = rs
         self._phis = phis
@@ -314,19 +320,45 @@ class _NegatedRadialProfile(RadialProfile):
 # ---------------------------------------------------------------------------
 
 class MapExpr:
-    """Immutable area-preserving map of the annulus with a canonical lift."""
+    """Immutable area-preserving map of the annulus with a canonical lift.
+
+    Primitive leaves implement step(); every other evaluation is one forward
+    pass over leaves(), defined here once.
+    """
+
+    def step(self, xt, y, with_jacobian: bool = False):
+        """One leaf's lift and, when with_jacobian is set, its differential:
+        (xt', y', D) with D of shape (..., 2, 2), or None for the identity."""
+        raise NotImplementedError
+
+    def leaves(self) -> tuple["MapExpr", ...]:
+        """Primitive factors in application order (innermost first)."""
+        return (self,)
 
     def apply_lift(self, xt, y):
         """Vectorized lift evaluation: arrays (xt, y) -> (xt', y')."""
-        raise NotImplementedError
+        for leaf in self.leaves():
+            xt, y, _ = leaf.step(xt, y)
+        return xt, y
+
+    def lift_with_jacobian(self, xt, y):
+        """Lift and differential in one pass: (xt', y', D), D of shape (..., 2, 2).
+
+        Each leaf is stepped once; its differential left-multiplies the product
+        of the ones before it.
+        """
+        xt1, y1, jac = xt, y, None
+        for leaf in self.leaves():
+            xt1, y1, d = leaf.step(xt1, y1, True)
+            if d is not None:
+                jac = d if jac is None else d @ jac
+        if jac is None:
+            jac = _identity(np.broadcast_shapes(np.shape(xt), np.shape(y)))
+        return xt1, y1, jac
 
     def jacobian(self, x, y):
         """Vectorized differential, shape (..., 2, 2); depends on x mod 1 only."""
-        raise NotImplementedError
-
-    def leaves(self) -> list["MapExpr"]:
-        """Primitive factors in application order (innermost first)."""
-        return [self]
+        return self.lift_with_jacobian(x, y)[2]
 
     def inverse(self) -> "MapExpr":
         raise NotImplementedError
@@ -335,10 +367,6 @@ class MapExpr:
         """Exact lift displacement of the boundary restriction (a rigid circle
         rotation for every member of this algebra)."""
         raise NotImplementedError
-
-    def is_y_preserving(self) -> bool:
-        """True when no factor moves the radial coordinate."""
-        return all(not isinstance(m, LocalDiskTwist) for m in self.leaves())
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -355,19 +383,19 @@ class MapExpr:
         return Iterate(self, k)
 
 
+def _identity(shape) -> np.ndarray:
+    out = np.zeros(tuple(shape) + (2, 2))
+    out[..., 0, 0] = 1.0
+    out[..., 1, 1] = 1.0
+    return out
+
+
 class RigidRotation(MapExpr):
     def __init__(self, a: float):
         self.a = float(a)
 
-    def apply_lift(self, xt, y):
-        return np.asarray(xt, dtype=float) + self.a, np.asarray(y, dtype=float)
-
-    def jacobian(self, x, y):
-        shape = np.broadcast(np.asarray(x, dtype=float), np.asarray(y, dtype=float)).shape
-        out = np.zeros(shape + (2, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = 1.0
-        return out
+    def step(self, xt, y, with_jacobian=False):
+        return np.asarray(xt, dtype=float) + self.a, np.asarray(y, dtype=float), None
 
     def inverse(self):
         return RigidRotation(-self.a)
@@ -390,19 +418,14 @@ class Twist(MapExpr):
     def __init__(self, profile: TwistProfile):
         self.profile = profile
 
-    def apply_lift(self, xt, y):
+    def step(self, xt, y, with_jacobian=False):
         y = np.asarray(y, dtype=float)
-        return np.asarray(xt, dtype=float) + self.profile.phi(y), y
-
-    def jacobian(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = np.broadcast(x, y).shape
-        out = np.zeros(shape + (2, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 0, 1] = self.profile.dphi(y)
-        out[..., 1, 1] = 1.0
-        return out
+        xt = np.asarray(xt, dtype=float) + self.profile.phi(y)
+        if not with_jacobian:
+            return xt, y, None
+        d = _identity(np.broadcast_shapes(np.shape(xt), y.shape))
+        d[..., 0, 1] = self.profile.dphi(y)
+        return xt, y, d
 
     def inverse(self):
         return Twist(self.profile.negated())
@@ -444,49 +467,37 @@ class LocalDiskTwist(MapExpr):
 
     @staticmethod
     def poly_bump(center, radius: float, c: float) -> "LocalDiskTwist":
-        if not isinstance(center, AnnulusPoint):
-            center = AnnulusPoint(*center)
         return LocalDiskTwist(center, radius, PolyBumpRadial(c, radius))
 
     def chart_offsets(self, xt, y):
-        u = _wrapped_delta(np.asarray(xt, dtype=float) - self.center.x)
+        """Chart offsets (u, v), with u the signed x-offset reduced to [-0.5, 0.5)."""
+        u = (np.asarray(xt, dtype=float) - self.center.x + 0.5) % 1.0 - 0.5
         v = np.asarray(y, dtype=float) - self.center.y
         return u, v
 
-    def apply_lift(self, xt, y):
+    def step(self, xt, y, with_jacobian=False):
         xt = np.asarray(xt, dtype=float)
         y = np.asarray(y, dtype=float)
         u, v = self.chart_offsets(xt, y)
         r = np.hypot(u, v)
         inside = r < self.radius
-        ang = self.profile.phi(np.minimum(r, self.radius))
-        ca, sa = np.cos(ang), np.sin(ang)
-        du = np.where(inside, u * ca - v * sa - u, 0.0)
-        dv = np.where(inside, u * sa + v * ca - v, 0.0)
-        return xt + du, y + dv
-
-    def jacobian(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        u, v = self.chart_offsets(x, y)
-        r = np.hypot(u, v)
-        inside = r < self.radius
         rc = np.minimum(r, self.radius)
         ang = self.profile.phi(rc)
-        k = self.profile.dphi_over_r(rc)
         ca, sa = np.cos(ang), np.sin(ang)
+        xt1 = xt + np.where(inside, u * ca - v * sa - u, 0.0)
+        y1 = y + np.where(inside, u * sa + v * ca - v, 0.0)
+        if not with_jacobian:
+            return xt1, y1, None
         # D = Rot(phi) + (phi'/r) (Rot'(phi) w) w^T, w = (u, v)
+        k = self.profile.dphi_over_r(rc)
         gu = -sa * u - ca * v
         gv = ca * u - sa * v
-        shape = np.broadcast(u, v).shape
-        out = np.zeros(shape + (2, 2))
-        one = np.ones(shape)
-        zero = np.zeros(shape)
-        out[..., 0, 0] = np.where(inside, ca + k * gu * u, one)
-        out[..., 0, 1] = np.where(inside, -sa + k * gu * v, zero)
-        out[..., 1, 0] = np.where(inside, sa + k * gv * u, zero)
-        out[..., 1, 1] = np.where(inside, ca + k * gv * v, one)
-        return out
+        d = np.empty(np.shape(r) + (2, 2))
+        d[..., 0, 0] = np.where(inside, ca + k * gu * u, 1.0)
+        d[..., 0, 1] = np.where(inside, -sa + k * gu * v, 0.0)
+        d[..., 1, 0] = np.where(inside, sa + k * gv * u, 0.0)
+        d[..., 1, 1] = np.where(inside, ca + k * gv * v, 1.0)
+        return xt1, y1, d
 
     def inverse(self):
         return LocalDiskTwist(self.center, self.radius, self.profile.negated())
@@ -519,19 +530,10 @@ class Compose(MapExpr):
     def __init__(self, outer: MapExpr, inner: MapExpr):
         self.outer = outer
         self.inner = inner
-
-    def apply_lift(self, xt, y):
-        xt1, y1 = self.inner.apply_lift(xt, y)
-        return self.outer.apply_lift(xt1, y1)
-
-    def jacobian(self, x, y):
-        xt1, y1 = self.inner.apply_lift(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        ji = self.inner.jacobian(x, y)
-        jo = self.outer.jacobian(xt1, y1)
-        return jo @ ji
+        self._leaves = inner.leaves() + outer.leaves()
 
     def leaves(self):
-        return self.inner.leaves() + self.outer.leaves()
+        return self._leaves
 
     def inverse(self):
         return Compose(self.inner.inverse(), self.outer.inverse())
@@ -556,25 +558,10 @@ class Iterate(MapExpr):
             raise ValueError("iteration count must be a positive integer")
         self.base = base
         self.k = k
-
-    def apply_lift(self, xt, y):
-        xt = np.asarray(xt, dtype=float)
-        y = np.asarray(y, dtype=float)
-        for _ in range(self.k):
-            xt, y = self.base.apply_lift(xt, y)
-        return xt, y
-
-    def jacobian(self, x, y):
-        xt = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        jac = self.base.jacobian(xt, y)
-        for _ in range(self.k - 1):
-            xt, y = self.base.apply_lift(xt, y)
-            jac = self.base.jacobian(xt, y) @ jac
-        return jac
+        self._leaves = base.leaves() * k
 
     def leaves(self):
-        return self.base.leaves() * self.k
+        return self._leaves
 
     def inverse(self):
         return Iterate(self.base.inverse(), self.k)
@@ -592,7 +579,7 @@ class Iterate(MapExpr):
         return f"Iterate({self.base!r}, {self.k})"
 
 
-def compose_chain(factors: list[MapExpr]) -> MapExpr | None:
+def compose_chain(factors: Iterable[MapExpr]) -> MapExpr | None:
     """Compose primitive factors given in application order; None for empty."""
     expr = None
     for f in factors:
@@ -622,6 +609,28 @@ def eval_lift(m: MapExpr, p: LiftedPoint) -> LiftedPoint:
 
 def differential(m: MapExpr, p: AnnulusPoint) -> np.ndarray:
     return m.jacobian(p.x, p.y)
+
+
+def orbit_arrays(m: MapExpr, x, y, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lifted orbit z_0 .. z_{n-1} of (x, y) under m, as arrays xs, ys of
+    shape (n,) + the broadcast shape of x and y.
+
+    Scalar starts step one point at a time, array starts step all points at
+    once; numpy may round the two paths differently in the last bit.
+    """
+    xt = np.asarray(x, dtype=float)
+    yy = np.asarray(y, dtype=float)
+    shape = (n,) + np.broadcast_shapes(xt.shape, yy.shape)
+    xs = np.empty(shape)
+    ys = np.empty(shape)
+    leaves = m.leaves()
+    for j in range(n):
+        if j:
+            for leaf in leaves:
+                xt, yy, _ = leaf.step(xt, yy)
+        xs[j] = xt
+        ys[j] = yy
+    return xs, ys
 
 
 def finite_difference_jacobian(m: MapExpr, xt, y, h: float = 1e-6) -> np.ndarray:
@@ -736,6 +745,31 @@ def map_from_config(cfg: dict) -> MapExpr:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad parameter for map variant {variant!r}: {e}") from e
     raise ConfigError(f"unknown map variant: {variant!r}")
+
+
+def random_builtin(rng: np.random.Generator) -> MapExpr:
+    """A random primitive leaf, drawn for property audits and tests."""
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return RigidRotation(float(rng.uniform(-1.0, 1.0)))
+    if kind == 1:
+        return Twist(LinearProfile())
+    if kind == 2:
+        return Twist(PolyBumpProfile(float(rng.uniform(-1.5, 1.5))))
+    cy = float(rng.uniform(0.25, 0.75))
+    cx = float(rng.uniform(0.0, 1.0))
+    radius = float(rng.uniform(0.3, 0.9)) * min(cy, 1.0 - cy)
+    c = float(rng.uniform(-6.0, 6.0))
+    return LocalDiskTwist.poly_bump(AnnulusPoint(cx, cy), radius, c)
+
+
+def random_composition(rng: np.random.Generator, max_leaves: int = 3) -> MapExpr:
+    """Composition of 1 .. max_leaves random primitive leaves."""
+    n = int(rng.integers(1, max_leaves + 1))
+    expr = random_builtin(rng)
+    for _ in range(n - 1):
+        expr = Compose(random_builtin(rng), expr)
+    return expr
 
 
 def map_from_shorthand(text: str) -> MapExpr:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .action import ActionContext, action_function_values
 from .errors import NonConvergentError
-from .maps import MapExpr
+from .maps import Iterate, MapExpr, orbit_arrays
 from .phase_space import LiftedPoint
 from .util import pairwise_sum
 
@@ -91,29 +91,15 @@ class PeriodicOrbit:
 # Newton machinery (vectorized over seed batches)
 # ---------------------------------------------------------------------------
 
-def _forward_with_jacobian(m: MapExpr, xt, y, q: int):
-    """Apply the lift q times, chaining differentials along the orbit."""
-    xt = np.asarray(xt, dtype=float)
-    y = np.asarray(y, dtype=float)
-    jac = np.zeros(xt.shape + (2, 2))
-    jac[..., 0, 0] = 1.0
-    jac[..., 1, 1] = 1.0
-    for _ in range(q):
-        jac = m.jacobian(xt, y) @ jac
-        xt, y = m.apply_lift(xt, y)
-    return xt, y, jac
-
-
-def _residual_vector(m: MapExpr, z: np.ndarray, q: int, p: int):
-    xt, y, jac = _forward_with_jacobian(m, z[:, 0], z[:, 1], q)
+def _residual_vector(fq: MapExpr, z: np.ndarray, p: int):
+    """G(z) = F^q(z) - z - (p, 0) and DF^q(z) for fq = F^q, in one fused pass."""
+    xt, y, jac = fq.lift_with_jacobian(z[:, 0], z[:, 1])
     g = np.stack([xt - z[:, 0] - p, y - z[:, 1]], axis=1)
     return g, jac
 
 
-def _residual_norm_only(m: MapExpr, z: np.ndarray, q: int, p: int):
-    xt, y = z[:, 0].copy(), z[:, 1].copy()
-    for _ in range(q):
-        xt, y = m.apply_lift(xt, y)
+def _residual_norm_only(fq: MapExpr, z: np.ndarray, p: int):
+    xt, y = fq.apply_lift(z[:, 0], z[:, 1])
     return np.hypot(xt - z[:, 0] - p, y - z[:, 1])
 
 
@@ -142,6 +128,7 @@ def _newton_steps(g: np.ndarray, jac_g: np.ndarray, singular_threshold: float):
 def _newton_polish(m: MapExpr, q: int, p: int, seeds: np.ndarray,
                    cfg: SearchConfig) -> np.ndarray:
     """Run damped Newton from every seed; return the converged solutions."""
+    fq = Iterate(m, q)
     z = np.array(seeds, dtype=float).reshape(-1, 2).copy()
     active = np.ones(len(z), dtype=bool)
     done = np.zeros(len(z), dtype=bool)
@@ -150,7 +137,7 @@ def _newton_polish(m: MapExpr, q: int, p: int, seeds: np.ndarray,
         if idx.size == 0:
             break
         zi = z[idx]
-        g, jac = _residual_vector(m, zi, q, p)
+        g, jac = _residual_vector(fq, zi, p)
         jac[:, 0, 0] -= 1.0
         jac[:, 1, 1] -= 1.0
         ni = np.linalg.norm(g, axis=1)
@@ -171,7 +158,7 @@ def _newton_polish(m: MapExpr, q: int, p: int, seeds: np.ndarray,
                 break
             cand = z[sub][todo] + lam[todo, None] * step[todo]
             cand[:, 1] = np.clip(cand[:, 1], 0.0, 1.0)
-            cand_norm = _residual_norm_only(m, cand, q, p)
+            cand_norm = _residual_norm_only(fq, cand, p)
             improved = (cand_norm <= base_norm[todo] * (1.0 - 1e-4 * lam[todo])) | (
                 cand_norm < cfg.newton_target
             )
@@ -181,35 +168,23 @@ def _newton_polish(m: MapExpr, q: int, p: int, seeds: np.ndarray,
             lam[sel[~improved]] *= cfg.newton_damping
         z[sub[accepted]] = trial[accepted]
         active[sub[~accepted]] = False
-    g_all, _ = _residual_vector(m, z, q, p)
-    norm = np.linalg.norm(g_all, axis=1)
-    return z[norm < cfg.newton_target * 10]
+    return z[_residual_norm_only(fq, z, p) < cfg.newton_target * 10]
 
 
 # ---------------------------------------------------------------------------
 # orbit assembly, dedup, canonical order
 # ---------------------------------------------------------------------------
 
-def _orbit_points(m: MapExpr, z0, q: int) -> np.ndarray:
-    pts = np.empty((q, 2))
-    xt, y = float(z0[0]), float(z0[1])
-    for j in range(q):
-        pts[j] = (xt, y)
-        xt2, y2 = m.apply_lift(xt, y)
-        xt, y = float(xt2), float(y2)
-    return pts
-
-
 def _canonical_orbit_points(m: MapExpr, z0, q: int) -> np.ndarray:
     """Start the listing at the lexicographically least projected point, with
     the starting lift reduced into [0, 1); later points are regenerated by
     applying the map so the stored chain is exactly dynamical."""
-    pts = _orbit_points(m, z0, q)
+    pts = np.stack(orbit_arrays(m, z0[0], z0[1], q), axis=1)
     proj_x = pts[:, 0] % 1.0
     order = np.lexsort((pts[:, 1], proj_x))
     start = order[0]
     x_start = proj_x[start]
-    return _orbit_points(m, (x_start, pts[start, 1]), q)
+    return np.stack(orbit_arrays(m, x_start, pts[start, 1], q), axis=1)
 
 
 def orbit_distance(a: PeriodicOrbit | np.ndarray, b: PeriodicOrbit | np.ndarray,
@@ -260,15 +235,13 @@ def _degenerate(jac_g: np.ndarray, threshold: float) -> bool:
     return bool(sv[-1] < threshold)
 
 
-def _least_period(m: MapExpr, z0, q: int, p: int, tol: float) -> int:
+def _least_period(pts: np.ndarray, p: int, tol: float) -> int:
+    """Least d | q with z_d = z_0 + (p d / q, 0), read off the q orbit points."""
+    q = len(pts)
     for d in range(1, q):
         if q % d or (p * d) % q:
             continue
-        xt, y = float(z0[0]), float(z0[1])
-        for _ in range(d):
-            xt2, y2 = m.apply_lift(xt, y)
-            xt, y = float(xt2), float(y2)
-        if max(abs(xt - z0[0] - (p * d) // q), abs(y - z0[1])) < tol:
+        if max(abs(pts[d, 0] - pts[0, 0] - (p * d) // q), abs(pts[d, 1] - pts[0, 1])) < tol:
             return d
     return q
 
@@ -276,11 +249,10 @@ def _least_period(m: MapExpr, z0, q: int, p: int, tol: float) -> int:
 def _build_orbit(m: MapExpr, z0, q: int, p: int, cfg: SearchConfig,
                  ctx: ActionContext | None = None) -> PeriodicOrbit | None:
     pts = _canonical_orbit_points(m, z0, q)
-    xt_q, y_q, jac = _forward_with_jacobian(m, pts[0, 0], pts[0, 1], q)
+    xt_q, y_q, jac = Iterate(m, q).lift_with_jacobian(pts[0, 0], pts[0, 1])
     residual = float(max(abs(xt_q - pts[0, 0] - p), abs(y_q - pts[0, 1])))
     if residual >= CERTIFIED_RESIDUAL:
         return None
-    jac = np.asarray(jac)
     jac_g = jac - np.eye(2)
     ctx = ctx or ActionContext.default()
     vals = action_function_values(m, ctx, pts[:, 0], pts[:, 1])
@@ -290,7 +262,7 @@ def _build_orbit(m: MapExpr, z0, q: int, p: int, cfg: SearchConfig,
         p=p,
         points=tuple(LiftedPoint(float(x), float(np.clip(y, 0.0, 1.0))) for x, y in pts),
         residual=residual,
-        least_period=_least_period(m, pts[0], q, p, tol=1e-8),
+        least_period=_least_period(pts, p, tol=1e-8),
         action=float(action),
         degenerate_flag=_degenerate(jac_g, cfg.degenerate_threshold),
     )
@@ -338,7 +310,7 @@ def refine_orbit(m: MapExpr, seed_orbit: PeriodicOrbit, target_residual: float =
     cfg = cfg or SearchConfig()
     cfg = replace(cfg, newton_target=min(target_residual, cfg.newton_target))
     z0 = np.array([[seed_orbit.points[0].xt, seed_orbit.points[0].y]])
-    start_norm = float(_residual_norm_only(m, z0, seed_orbit.q, seed_orbit.p)[0])
+    start_norm = float(_residual_norm_only(Iterate(m, seed_orbit.q), z0, seed_orbit.p)[0])
     if start_norm >= 1e-2:
         raise NonConvergentError(
             f"seed residual {start_norm:.3g} too far from a solution (need < 1e-2)")
@@ -375,15 +347,13 @@ def grid_scan_orbits(m: MapExpr, q: int, p: int, n: int = 2000,
     cfg = cfg or SearchConfig()
     xs = (np.arange(n, dtype=float) + 0.5) / n
     ys = (np.arange(n, dtype=float) + 0.5) / n
+    fq = Iterate(m, q)
     candidates = []
     for lo in range(0, n, chunk_rows):
         band = ys[lo : lo + chunk_rows]
         X, Y = np.meshgrid(xs, band, indexing="ij")
-        xt, yy = X.copy(), Y.copy()
-        for _ in range(q):
-            xt, yy = m.apply_lift(xt, yy)
-        res = np.hypot(xt - X - p, yy - Y)
-        hit = res < capture_threshold
+        xt, yy = fq.apply_lift(X, Y)
+        hit = np.hypot(xt - X - p, yy - Y) < capture_threshold
         if np.any(hit):
             candidates.append(np.stack([X[hit], Y[hit]], axis=1))
     if not candidates:

@@ -14,8 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergentError
-from .util import gauss_nodes_unit, pairwise_sum, wrap_turn
+from .util import integrate_path_parameter, wrap_turn
 
 
 @dataclass(frozen=True)
@@ -191,23 +190,6 @@ class QuadratureSpec:
             raise ValueError("invalid quadrature spec")
 
 
-def _segment_quadrature(form: OneForm, a: LiftedPoint, b: LiftedPoint, pieces: int, order: int) -> float:
-    nodes, weights = gauss_nodes_unit(order)
-    # piece boundaries in [0,1], then all Gauss nodes at once
-    t0 = np.arange(pieces, dtype=float) / pieces
-    t = (t0[:, None] + nodes[None, :] / pieces).ravel()
-    w = np.tile(weights / pieces, pieces)
-    dx = b.xt - a.xt
-    dy = b.y - a.y
-    xt = a.xt + t * dx
-    y = a.y + t * dy
-    y = np.clip(y, 0.0, 1.0)
-    xm, _ = wrap_turn(xt)
-    ca, cb = form.coefficients(xm, y)
-    contrib = w * (ca * dx + cb * dy)
-    return pairwise_sum(contrib)
-
-
 def line_integral(form: OneForm, path: PolylinePath, quad: QuadratureSpec | None = None) -> float:
     """Integrate a 1-form along a polyline path with composite Gauss rules.
 
@@ -218,23 +200,17 @@ def line_integral(form: OneForm, path: PolylinePath, quad: QuadratureSpec | None
     quad = quad or QuadratureSpec()
     total = 0.0
     for a, b in zip(path.vertices, path.vertices[1:]):
-        seg_len = float(np.hypot(b.xt - a.xt, b.y - a.y))
-        pieces = max(1, int(np.ceil(seg_len / path.refinement)))
-        prev = _segment_quadrature(form, a, b, pieces, quad.points_per_segment)
-        converged = False
-        for _ in range(quad.max_halvings):
-            pieces *= 2
-            cur = _segment_quadrature(form, a, b, pieces, quad.points_per_segment)
-            if abs(cur - prev) < quad.tol:
-                prev = cur
-                converged = True
-                break
-            prev = cur
-        if not converged:
-            raise NonConvergentError(
-                "line integral did not converge to tolerance "
-                f"{quad.tol} on segment ({a.xt},{a.y})->({b.xt},{b.y})",
-                value=prev,
-            )
-        total += prev
+        dx = b.xt - a.xt
+        dy = b.y - a.y
+
+        def integrand(t, a=a, dx=dx, dy=dy):
+            xm, _ = wrap_turn(a.xt + t * dx)
+            ca, cb = form.coefficients(xm, np.clip(a.y + t * dy, 0.0, 1.0))
+            return ca * dx + cb * dy
+
+        pieces = max(1, int(np.ceil(float(np.hypot(dx, dy)) / path.refinement)))
+        value, _ = integrate_path_parameter(
+            integrand, tol=quad.tol, pieces0=pieces, order=quad.points_per_segment,
+            max_halvings=quad.max_halvings)
+        total += value
     return total

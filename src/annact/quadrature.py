@@ -21,9 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergentError
 from .maps import LocalDiskTwist, MapExpr, RigidRotation, Twist, compose_chain
-from .util import gauss_nodes_unit, pairwise_sum
+from .util import (  # noqa: F401  (integrate_path_parameter is re-exported)
+    gauss_nodes_unit,
+    integrate_path_parameter,
+    pairwise_sum,
+    refine_by_doubling,
+)
 
 
 def integrate_unit_interval(fn: Callable, tol: float = 1e-10, n0: int = 32,
@@ -32,53 +36,11 @@ def integrate_unit_interval(fn: Callable, tol: float = 1e-10, n0: int = 32,
 
     fn must accept a 1-d array. Returns (value, last increment).
     """
-    def rule(n):
-        x, w = gauss_nodes_unit(n)
+    def rule(scale):
+        x, w = gauss_nodes_unit(n0 * scale)
         return pairwise_sum(w * np.asarray(fn(x), dtype=float))
 
-    n = n0
-    prev = rule(n)
-    for _ in range(max_doublings):
-        n *= 2
-        cur = rule(n)
-        inc = abs(cur - prev)
-        prev = cur
-        if inc < tol:
-            return cur, inc
-    raise NonConvergentError(
-        f"1-d quadrature stalled above tol={tol} at n={n}", value=prev, increment=inc
-    )
-
-
-def integrate_path_parameter(fn: Callable, tol: float = 1e-10, pieces0: int = 4,
-                             order: int = 5, max_halvings: int = 14) -> tuple[float, float]:
-    """Composite Gauss-Legendre over the parameter interval [0, 1].
-
-    fn takes a 1-d array of parameters. Used for path integrals where the
-    integrand is smooth but the composite (fixed low order, piece halving)
-    matches the path-integral contract.
-    """
-    nodes, weights = gauss_nodes_unit(order)
-
-    def rule(pieces):
-        t0 = np.arange(pieces, dtype=float) / pieces
-        t = (t0[:, None] + nodes[None, :] / pieces).ravel()
-        w = np.tile(weights / pieces, pieces)
-        return pairwise_sum(w * np.asarray(fn(t), dtype=float))
-
-    pieces = pieces0
-    prev = rule(pieces)
-    for _ in range(max_halvings):
-        pieces *= 2
-        cur = rule(pieces)
-        inc = abs(cur - prev)
-        prev = cur
-        if inc < tol:
-            return cur, inc
-    raise NonConvergentError(
-        f"path quadrature stalled above tol={tol} at {pieces} pieces",
-        value=prev, increment=inc,
-    )
+    return refine_by_doubling(rule, tol, max_doublings, "1-d quadrature")
 
 
 def polar_disk_integral(fn_chart: Callable, R: float, tol: float = 1e-10,
@@ -90,7 +52,8 @@ def polar_disk_integral(fn_chart: Callable, R: float, tol: float = 1e-10,
     the measure is r dr dtheta. Gauss-Legendre in r, trapezoid in the periodic
     angle; both spectral for chart-smooth integrands.
     """
-    def rule(nr, ntheta):
+    def rule(scale):
+        nr, ntheta = nr0 * scale, ntheta0 * scale
         rs, wr = gauss_nodes_unit(nr)
         rs = rs * R
         wr = wr * R
@@ -101,20 +64,7 @@ def polar_disk_integral(fn_chart: Callable, R: float, tol: float = 1e-10,
         contrib = vals * Rg * wr[:, None] * wt
         return pairwise_sum(contrib.ravel())
 
-    nr, ntheta = nr0, ntheta0
-    prev = rule(nr, ntheta)
-    for _ in range(max_doublings):
-        nr *= 2
-        ntheta *= 2
-        cur = rule(nr, ntheta)
-        inc = abs(cur - prev)
-        prev = cur
-        if inc < tol:
-            return cur, inc
-    raise NonConvergentError(
-        f"polar chart quadrature stalled above tol={tol} at ({nr},{ntheta})",
-        value=prev, increment=inc,
-    )
+    return refine_by_doubling(rule, tol, max_doublings, "polar chart quadrature")
 
 
 def tensor_annulus_integral(fn: Callable, tol: float = 1e-9, n0: int = 32,
@@ -124,7 +74,8 @@ def tensor_annulus_integral(fn: Callable, tol: float = 1e-9, n0: int = 32,
     as the generic fallback and for cross-checks, not for fields with chart
     kinks (those go through the polar path).
     """
-    def rule(n):
+    def rule(scale):
+        n = n0 * scale
         xs = np.arange(n, dtype=float) / n
         ys, wy = gauss_nodes_unit(n)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -132,18 +83,7 @@ def tensor_annulus_integral(fn: Callable, tol: float = 1e-9, n0: int = 32,
         contrib = vals * (wy[None, :] / n)
         return pairwise_sum(contrib.ravel())
 
-    n = n0
-    prev = rule(n)
-    for _ in range(max_doublings):
-        n *= 2
-        cur = rule(n)
-        inc = abs(cur - prev)
-        prev = cur
-        if inc < tol:
-            return cur, inc
-    raise NonConvergentError(
-        f"tensor quadrature stalled above tol={tol} at n={n}", value=prev, increment=inc
-    )
+    return refine_by_doubling(rule, tol, max_doublings, "tensor quadrature")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import ActionContext, MeasureSpec, measure_action
-from .maps import MapExpr, RigidRotation, Twist, boundary_circle_map, eval_map
+from .maps import MapExpr, RigidRotation, Twist, boundary_circle_map, eval_map, orbit_arrays
 from .phase_space import AnnulusPoint
 from .quadrature import displacement_descriptor, tree_field_integral
 
@@ -67,16 +67,13 @@ def rotation_number_point(m: MapExpr, p: AnnulusPoint, n_iter: int = 100_000) ->
     closed = _closed_form_point_rotation(m, p)
     if closed is not None:
         return closed
-    xt, y = float(p.x), float(p.y)
-    x0 = xt
-    checkpoints = {n_iter // 2: None, (3 * n_iter) // 4: None}
-    for j in range(1, n_iter + 1):
-        xt2, y2 = m.apply_lift(xt, y)
-        xt, y = float(xt2), float(y2)
-        if j in checkpoints:
-            checkpoints[j] = (xt - x0) / j
-    value = (xt - x0) / n_iter
-    err = max(abs(v - value) for v in checkpoints.values())
+    xs, _ = orbit_arrays(m, p.x, p.y, n_iter + 1)
+
+    def mean_advance(j):
+        return (float(xs[j]) - p.x) / j
+
+    value = mean_advance(n_iter)
+    err = max(abs(mean_advance(j) - value) for j in (n_iter // 2, (3 * n_iter) // 4))
     return RotationValue(value, err, exact=False)
 
 

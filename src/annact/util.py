@@ -1,10 +1,14 @@
-"""Small numeric helpers: deterministic reductions and Gauss-Legendre rules."""
+"""Small numeric helpers: deterministic reductions, Gauss-Legendre rules and
+the composite path integrator."""
 
 from __future__ import annotations
 
 import functools
+from typing import Callable
 
 import numpy as np
+
+from .errors import NonConvergentError
 
 
 def pairwise_sum(values) -> float:
@@ -26,13 +30,6 @@ def pairwise_sum(values) -> float:
     return float(a[0])
 
 
-def pairwise_mean(values) -> float:
-    a = np.asarray(values, dtype=float).ravel()
-    if a.size == 0:
-        raise ValueError("mean of empty array")
-    return pairwise_sum(a) / a.size
-
-
 @functools.lru_cache(maxsize=64)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1], cached."""
@@ -44,6 +41,50 @@ def gauss_nodes_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights transplanted to [0, 1]."""
     x, w = gauss_legendre(n)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def integrate_path_parameter(fn: Callable, tol: float = 1e-10, pieces0: int = 4,
+                             order: int = 5, max_halvings: int = 14) -> tuple[float, float]:
+    """Composite Gauss-Legendre over the parameter interval [0, 1].
+
+    fn takes a 1-d array of parameters. The rule starts with pieces0 pieces of
+    order nodes each and halves the pieces until two successive estimates
+    differ by less than tol. Returns (value, last increment); raises
+    NonConvergentError after max_halvings halvings.
+    """
+    nodes, weights = gauss_nodes_unit(order)
+
+    def rule(scale):
+        pieces = pieces0 * scale
+        t0 = np.arange(pieces, dtype=float) / pieces
+        t = (t0[:, None] + nodes[None, :] / pieces).ravel()
+        w = np.tile(weights / pieces, pieces)
+        return pairwise_sum(w * np.asarray(fn(t), dtype=float))
+
+    return refine_by_doubling(rule, tol, max_halvings, "path quadrature")
+
+
+def refine_by_doubling(rule: Callable[[int], float], tol: float, max_doublings: int,
+                       what: str) -> tuple[float, float]:
+    """Evaluate rule(scale) at resolution scales 1, 2, 4, ... until two
+    successive values differ by less than tol.
+
+    Returns (value, last increment); raises NonConvergentError, carrying both,
+    after max_doublings doublings.
+    """
+    scale = 1
+    prev = rule(scale)
+    for _ in range(max_doublings):
+        scale *= 2
+        cur = rule(scale)
+        inc = abs(cur - prev)
+        prev = cur
+        if inc < tol:
+            return cur, inc
+    raise NonConvergentError(
+        f"{what} stalled above tol={tol} at {scale}x the starting resolution",
+        value=prev, increment=inc,
+    )
 
 
 def wrap_turn(x):
@@ -62,9 +103,3 @@ def wrap_turn(x):
     if frac.ndim == 0:
         return float(frac), int(winding)
     return frac, winding.astype(np.int64)
-
-
-def circle_distance(x0, x1):
-    """Distance between two angles in turns, on the circle R/Z."""
-    d = np.abs(np.asarray(x0, dtype=float) - np.asarray(x1, dtype=float)) % 1.0
-    return np.minimum(d, 1.0 - d)

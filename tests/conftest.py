@@ -6,10 +6,10 @@ from annact import (
     Compose,
     LinearProfile,
     LocalDiskTwist,
-    PolyBumpProfile,
     RigidRotation,
     Twist,
 )
+from annact.maps import random_builtin, random_composition  # noqa: F401  (re-exported for tests)
 
 GOLDEN = 0.6180339887
 BUMP_C = 50.85
@@ -40,27 +40,3 @@ def strong_bump():
 def perturbed_rotation(golden_rotation, strong_bump):
     """Irrational rigid rotation composed with a compactly supported twist."""
     return Compose(golden_rotation, strong_bump)
-
-
-def random_builtin(rng, allow_bump=True, bump_c_range=(-6.0, 6.0)):
-    kinds = 4 if allow_bump else 3
-    kind = int(rng.integers(0, kinds))
-    if kind == 0:
-        return RigidRotation(float(rng.uniform(-1.0, 1.0)))
-    if kind == 1:
-        return Twist(LinearProfile())
-    if kind == 2:
-        return Twist(PolyBumpProfile(float(rng.uniform(-1.5, 1.5))))
-    cy = float(rng.uniform(0.25, 0.75))
-    cx = float(rng.uniform(0.0, 1.0))
-    radius = float(rng.uniform(0.3, 0.9)) * min(cy, 1.0 - cy)
-    c = float(rng.uniform(*bump_c_range))
-    return LocalDiskTwist.poly_bump(AnnulusPoint(cx, cy), radius, c)
-
-
-def random_composition(rng, max_leaves=3, **kw):
-    n = int(rng.integers(1, max_leaves + 1))
-    expr = random_builtin(rng, **kw)
-    for _ in range(n - 1):
-        expr = Compose(random_builtin(rng, **kw), expr)
-    return expr
