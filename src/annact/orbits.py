@@ -2,12 +2,13 @@
 
 A type-(q, p) orbit solves F^q(z) = z + (p, 0) in the universal cover. The
 search runs damped Newton on G(z) = F^q(z) - z - (p, 0) from a seed lattice,
-certifies converged solutions by their residuals, groups them into orbits,
-deduplicates modulo deck translation and cyclic relabeling, and reports a
-canonically sorted list so results are deterministic regardless of search
-scheduling. Integrable families produce whole circles of solutions; these are
-detected through the rank of I - DF^q and flagged as degenerate rather than
-enumerated.
+then works on all converged solutions as arrays: it canonicalises their
+orbits, certifies them by their residuals and deduplicates them modulo deck
+translation and cyclic relabeling. Only then does it build one PeriodicOrbit
+per distinct orbit, in canonical order, so results are deterministic
+regardless of search scheduling. Integrable families produce whole circles of
+solutions; these are detected through the rank of I - DF^q and flagged as
+degenerate rather than enumerated.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .action import ActionContext, action_function_values
+from .action import ActionContext, MeasureSpec, action_function_values, measure_action
 from .errors import NonConvergentError
 from .maps import Iterate, MapExpr, orbit_arrays
 from .phase_space import LiftedPoint
@@ -91,13 +92,6 @@ class PeriodicOrbit:
 # Newton machinery (vectorized over seed batches)
 # ---------------------------------------------------------------------------
 
-def _residual_vector(fq: MapExpr, z: np.ndarray, p: int):
-    """G(z) = F^q(z) - z - (p, 0) and DF^q(z) for fq = F^q, in one fused pass."""
-    xt, y, jac = fq.lift_with_jacobian(z[:, 0], z[:, 1])
-    g = np.stack([xt - z[:, 0] - p, y - z[:, 1]], axis=1)
-    return g, jac
-
-
 def _residual_norm_only(fq: MapExpr, z: np.ndarray, p: int):
     xt, y = fq.apply_lift(z[:, 0], z[:, 1])
     return np.hypot(xt - z[:, 0] - p, y - z[:, 1])
@@ -137,9 +131,10 @@ def _newton_polish(m: MapExpr, q: int, p: int, seeds: np.ndarray,
         if idx.size == 0:
             break
         zi = z[idx]
-        g, jac = _residual_vector(fq, zi, p)
-        jac[:, 0, 0] -= 1.0
-        jac[:, 1, 1] -= 1.0
+        # G(z) = F^q(z) - z - (p, 0) and DG = DF^q - I, in one fused pass
+        xt, y, jac = fq.lift_with_jacobian(zi[:, 0], zi[:, 1])
+        g = np.stack([xt - zi[:, 0] - p, y - zi[:, 1]], axis=1)
+        jac = jac - np.eye(2)
         ni = np.linalg.norm(g, axis=1)
         newly_done = ni < cfg.newton_target
         done[idx[newly_done]] = True
@@ -172,100 +167,103 @@ def _newton_polish(m: MapExpr, q: int, p: int, seeds: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# orbit assembly, dedup, canonical order
+# orbit assembly: canonicalise, certify, dedup, then build the kept orbits
 # ---------------------------------------------------------------------------
 
-def _canonical_orbit_points(m: MapExpr, z0, q: int) -> np.ndarray:
-    """Start the listing at the lexicographically least projected point, with
-    the starting lift reduced into [0, 1); later points are regenerated by
-    applying the map so the stored chain is exactly dynamical."""
-    pts = np.stack(orbit_arrays(m, z0[0], z0[1], q), axis=1)
-    proj_x = pts[:, 0] % 1.0
-    order = np.lexsort((pts[:, 1], proj_x))
-    start = order[0]
-    x_start = proj_x[start]
-    return np.stack(orbit_arrays(m, x_start, pts[start, 1], q), axis=1)
+def _cyclic_distance(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """orbit_distance between (..., q, 2) point arrays a and b, broadcast."""
+    q = a.shape[-2]
+    idx = np.arange(q)[:, None] + np.arange(q)  # [shift, j] -> j + shift
+    rolled = b[..., idx % q, :]
+    dx = a[..., None, :, 0] - (rolled[..., 0] + p * (idx // q))
+    k = np.round(np.median(dx, axis=-1, keepdims=True))
+    dy = np.abs(a[..., None, :, 1] - rolled[..., 1]).max(axis=-1)
+    return np.maximum(np.abs(dx - k).max(axis=-1), dy).min(axis=-1)
 
 
 def orbit_distance(a: PeriodicOrbit | np.ndarray, b: PeriodicOrbit | np.ndarray,
                    q: int | None = None, p: int | None = None) -> float:
     """Distance between two (q, p) orbits: the minimum over cyclic relabelings
     and integer deck translations of the max pointwise distance."""
-    pa = a.point_array() if isinstance(a, PeriodicOrbit) else np.asarray(a)
-    pb = b.point_array() if isinstance(b, PeriodicOrbit) else np.asarray(b)
     if isinstance(a, PeriodicOrbit):
-        q, p = a.q, a.p
+        p = a.p
+    pa, pb = (o.point_array() if isinstance(o, PeriodicOrbit) else np.asarray(o) for o in (a, b))
     if len(pa) != len(pb):
         return np.inf
-    best = np.inf
-    for s in range(q):
-        roll = np.roll(np.arange(q), -s)
-        bx = pb[roll, 0] + p * ((np.arange(q) + s) // q)
-        by = pb[roll, 1]
-        dx = pa[:, 0] - bx
-        k = np.round(np.median(dx))
-        d = max(np.max(np.abs(dx - k)), np.max(np.abs(pa[:, 1] - by)))
-        best = min(best, float(d))
-    return best
+    return float(_cyclic_distance(pa, pb, p))
+
+
+def _dedup_indices(pts: np.ndarray, residual: np.ndarray, p: int, tol: float) -> np.ndarray:
+    """Indices of the distinct orbits among (N, q, 2) points, in canonical
+    order. A greedy scan in canonical order compares each orbit with the kept
+    ones, latest first, while their start x is within 64 * tol (all of them if
+    its own start is within 64 * tol of x = 0 or 1); a duplicate replaces its
+    match when its residual is lower."""
+    x0, y0 = pts[:, 0, 0], pts[:, 0, 1]
+    kept: list[int] = []
+    for i in np.lexsort((y0, x0)):
+        window = np.array(kept[::-1], dtype=int)
+        if min(x0[i], 1 - x0[i]) > 64 * tol:
+            far = np.abs(x0[i] - x0[window]) > 64 * tol
+            window = window[~np.logical_or.accumulate(far)]
+        hit = np.flatnonzero(_cyclic_distance(pts[window], pts[i], p) < tol)
+        if hit.size == 0:
+            kept.append(i)
+        elif residual[i] < residual[window[hit[0]]]:
+            kept[kept.index(window[hit[0]])] = i
+    kept = np.array(kept, dtype=int)
+    return kept[np.lexsort((y0[kept], x0[kept]))]
 
 
 def _dedup_orbits(orbits: list[PeriodicOrbit], tol: float) -> list[PeriodicOrbit]:
-    """Greedy dedup after canonical sorting; only orbits with nearby canonical
-    keys need the full cyclic metric."""
-    orbits = sorted(orbits, key=lambda o: (o.points[0].xt, o.points[0].y))
-    kept: list[PeriodicOrbit] = []
-    for orb in orbits:
-        duplicate = None
-        for prev in reversed(kept):
-            gap = abs(orb.points[0].xt - prev.points[0].xt)
-            if gap > 64 * tol and min(orb.points[0].xt, 1 - orb.points[0].xt) > 64 * tol:
-                break
-            if orbit_distance(prev, orb) < tol:
-                duplicate = prev
-                break
-        if duplicate is None:
-            kept.append(orb)
-        elif orb.residual < duplicate.residual:
-            kept[kept.index(duplicate)] = orb
-    return sorted(kept, key=lambda o: (o.points[0].xt, o.points[0].y))
+    """Distinct orbits among (q, p) orbits of one type, in canonical order."""
+    if not orbits:
+        return []
+    pts = np.array([o.point_array() for o in orbits])
+    residual = np.array([o.residual for o in orbits])
+    return [orbits[i] for i in _dedup_indices(pts, residual, orbits[0].p, tol)]
 
 
-def _degenerate(jac_g: np.ndarray, threshold: float) -> bool:
-    sv = np.linalg.svd(jac_g, compute_uv=False)
-    return bool(sv[-1] < threshold)
-
-
-def _least_period(pts: np.ndarray, p: int, tol: float) -> int:
-    """Least d | q with z_d = z_0 + (p d / q, 0), read off the q orbit points."""
-    q = len(pts)
-    for d in range(1, q):
-        if q % d or (p * d) % q:
-            continue
-        if max(abs(pts[d, 0] - pts[0, 0] - (p * d) // q), abs(pts[d, 1] - pts[0, 1])) < tol:
-            return d
-    return q
-
-
-def _build_orbit(m: MapExpr, z0, q: int, p: int, cfg: SearchConfig,
-                 ctx: ActionContext | None = None) -> PeriodicOrbit | None:
-    pts = _canonical_orbit_points(m, z0, q)
-    xt_q, y_q, jac = Iterate(m, q).lift_with_jacobian(pts[0, 0], pts[0, 1])
-    residual = float(max(abs(xt_q - pts[0, 0] - p), abs(y_q - pts[0, 1])))
-    if residual >= CERTIFIED_RESIDUAL:
-        return None
-    jac_g = jac - np.eye(2)
-    ctx = ctx or ActionContext.default()
-    vals = action_function_values(m, ctx, pts[:, 0], pts[:, 1])
-    action = pairwise_sum(vals) / q
-    return PeriodicOrbit(
-        q=q,
-        p=p,
-        points=tuple(LiftedPoint(float(x), float(np.clip(y, 0.0, 1.0))) for x, y in pts),
-        residual=residual,
-        least_period=_least_period(pts, p, tol=1e-8),
-        action=float(action),
-        degenerate_flag=_degenerate(jac_g, cfg.degenerate_threshold),
-    )
+def _orbits_from_solutions(m: MapExpr, q: int, p: int, sols: np.ndarray,
+                           cfg: SearchConfig) -> list[PeriodicOrbit]:
+    """Distinct certified orbits through the (N, 2) converged Newton solutions,
+    worked as arrays; a PeriodicOrbit is built only for each distinct orbit."""
+    # canonicalise: list each orbit from its lexicographically least projected
+    # point, with that lift reduced into [0, 1), regenerating the later points
+    # by the map so the stored chain is exactly dynamical
+    xs, ys = orbit_arrays(m, sols[:, 0], sols[:, 1], q)
+    proj_x, cols = xs % 1.0, np.arange(len(sols))
+    start = np.lexsort((ys, proj_x), axis=0)[0]
+    xs, ys = orbit_arrays(m, proj_x[start, cols], ys[start, cols], q)
+    pts = np.stack([xs.T, ys.T], axis=-1)
+    # certify by the residual of F^q at the start point
+    xt_q, y_q, jac = Iterate(m, q).lift_with_jacobian(pts[:, 0, 0], pts[:, 0, 1])
+    residual = np.maximum(np.abs(xt_q - pts[:, 0, 0] - p), np.abs(y_q - pts[:, 0, 1]))
+    ok = residual < CERTIFIED_RESIDUAL
+    pts, residual, jac = pts[ok], residual[ok], jac[ok]
+    stored = np.stack([pts[..., 0], np.clip(pts[..., 1], 0.0, 1.0)], axis=-1)
+    keep = _dedup_indices(stored, residual, p, cfg.dedup_tolerance)
+    # build the kept orbits
+    pts = pts[keep]
+    vals = action_function_values(m, ActionContext.default(), pts[..., 0], pts[..., 1])
+    smallest_sv = np.linalg.svd(jac[keep] - np.eye(2), compute_uv=False)[:, -1]
+    least_period = np.full(len(keep), q)
+    for d in range(q - 1, 0, -1):  # the least d | q with z_d = z_0 + (p d / q, 0)
+        if q % d == 0 == (p * d) % q:
+            lift_gap = np.abs(pts[:, d] - pts[:, 0] - [(p * d) // q, 0]).max(axis=-1)
+            least_period[lift_gap < 1e-8] = d
+    return [
+        PeriodicOrbit(
+            q=q,
+            p=p,
+            points=tuple(LiftedPoint(float(x), float(y)) for x, y in stored[i]),
+            residual=float(residual[i]),
+            least_period=int(least_period[j]),
+            action=float(pairwise_sum(vals[j]) / q),
+            degenerate_flag=bool(smallest_sv[j] < cfg.degenerate_threshold),
+        )
+        for j, i in enumerate(keep)
+    ]
 
 
 def _seed_lattice(n: int, margin: float) -> np.ndarray:
@@ -280,24 +278,19 @@ def find_periodic_orbits(m: MapExpr, q: int, p: int,
                          workers: int = 1) -> list[PeriodicOrbit]:
     """Multi-start damped Newton census of type-(q, p) orbits.
 
-    Seeds are processed in deterministic batches (worker partitioning never
-    changes the set of seeds or the merge order), converged solutions are
-    certified at residual < 1e-9, grouped into orbits, deduplicated with the
-    cyclic/deck-translation metric, and sorted canonically.
+    Newton runs on the seed lattice in deterministic batches (worker
+    partitioning never changes the set of seeds or the merge order); the
+    converged solutions are canonicalised as arrays, certified at residual
+    < 1e-9 and deduplicated with the cyclic/deck-translation metric, and one
+    orbit is built per distinct solution, in canonical order.
     """
     if q < 1:
         raise ValueError("period must be a positive integer")
     cfg = cfg or SearchConfig()
     seeds = _seed_lattice(cfg.grid, cfg.boundary_margin)
     chunks = np.array_split(seeds, max(1, int(workers)))
-    solutions = [_newton_polish(m, q, p, chunk, cfg) for chunk in chunks if len(chunk)]
-    sols = np.concatenate(solutions) if solutions else np.empty((0, 2))
-    orbits = []
-    for z in sols:
-        orb = _build_orbit(m, z, q, p, cfg)
-        if orb is not None:
-            orbits.append(orb)
-    return _dedup_orbits(orbits, cfg.dedup_tolerance)
+    sols = np.concatenate([_newton_polish(m, q, p, chunk, cfg) for chunk in chunks])
+    return _orbits_from_solutions(m, q, p, sols, cfg)
 
 
 def refine_orbit(m: MapExpr, seed_orbit: PeriodicOrbit, target_residual: float = 1e-12,
@@ -317,19 +310,17 @@ def refine_orbit(m: MapExpr, seed_orbit: PeriodicOrbit, target_residual: float =
     sols = _newton_polish(m, seed_orbit.q, seed_orbit.p, z0, cfg)
     if len(sols) == 0:
         raise NonConvergentError("Newton refinement did not converge")
-    orb = _build_orbit(m, sols[0], seed_orbit.q, seed_orbit.p, cfg)
-    if orb is None or orb.residual > target_residual:
+    orbs = _orbits_from_solutions(m, seed_orbit.q, seed_orbit.p, sols[:1], cfg)
+    if not orbs or orbs[0].residual > target_residual:
         raise NonConvergentError("refined orbit missed the target residual")
-    return orb
+    return orbs[0]
 
 
 def orbit_action(m: MapExpr, ctx: ActionContext, orbit: PeriodicOrbit) -> float:
     """Average of the action function over the orbit points."""
     if not orbit.certified:
         raise ValueError("orbit must be certified before evaluating its action")
-    pts = orbit.point_array()
-    vals = action_function_values(m, ctx, pts[:, 0], pts[:, 1])
-    return float(pairwise_sum(vals) / orbit.q)
+    return measure_action(m, ctx, MeasureSpec.from_orbit(orbit)).value
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +333,7 @@ def grid_scan_orbits(m: MapExpr, q: int, p: int, n: int = 2000,
                      chunk_rows: int = 64) -> list[PeriodicOrbit]:
     """Exhaustive return-map grid scan: evaluate |F^q(z) - z - (p, 0)| on an
     n x n grid, keep grid points under the capture threshold, polish each with
-    Newton and dedup. Independent seeding route used to cross-check the
+    Newton, certify and dedup. Independent seeding route used to cross-check the
     lattice search."""
     cfg = cfg or SearchConfig()
     xs = (np.arange(n, dtype=float) + 0.5) / n
@@ -354,18 +345,9 @@ def grid_scan_orbits(m: MapExpr, q: int, p: int, n: int = 2000,
         X, Y = np.meshgrid(xs, band, indexing="ij")
         xt, yy = fq.apply_lift(X, Y)
         hit = np.hypot(xt - X - p, yy - Y) < capture_threshold
-        if np.any(hit):
-            candidates.append(np.stack([X[hit], Y[hit]], axis=1))
-    if not candidates:
-        return []
-    seeds = np.concatenate(candidates)
-    sols = _newton_polish(m, q, p, seeds, cfg)
-    orbits = []
-    for z in sols:
-        orb = _build_orbit(m, z, q, p, cfg)
-        if orb is not None:
-            orbits.append(orb)
-    return _dedup_orbits(orbits, cfg.dedup_tolerance)
+        candidates.append(np.stack([X[hit], Y[hit]], axis=1))
+    sols = _newton_polish(m, q, p, np.concatenate(candidates), cfg)
+    return _orbits_from_solutions(m, q, p, sols, cfg)
 
 
 ORBIT_CSV_HEADER = "orbit_id,j,x,y,xt,q,p,residual,action"
