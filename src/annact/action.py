@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonConvergentError
-from .maps import LocalDiskTwist, MapExpr, RigidRotation, Twist, orbit_arrays
+from .maps import MapExpr, orbit_arrays
 from .phase_space import (
     AnnulusPoint,
     CanonicalBeta,
@@ -139,22 +139,6 @@ class MeasureSpec:
 # pointwise evaluation
 # ---------------------------------------------------------------------------
 
-def _bump_action_values(bump: LocalDiskTwist, x, y):
-    prof = bump.profile
-    cy = bump.center.y
-    u, v = bump.chart_offsets(x, y)
-    r = np.hypot(u, v)
-    inside = r < bump.radius
-    rc = np.minimum(r, bump.radius)
-    phi = prof.phi(rc)
-    ca, sa = np.cos(phi), np.sin(phi)
-    u1 = u * ca - v * sa
-    v1 = u * sa + v * ca
-    s_before = u * (0.5 * v + cy)
-    s_after = u1 * (0.5 * v1 + cy)
-    return np.where(inside, prof.action_radial(rc) + s_after - s_before, 0.0)
-
-
 def action_values_raw(m: MapExpr, x, y):
     """Un-normalized action function of m with beta = y dx, vectorized.
 
@@ -165,14 +149,7 @@ def action_values_raw(m: MapExpr, x, y):
     yy = np.asarray(y, dtype=float)
     total = np.zeros(np.broadcast(xt, yy).shape)
     for leaf in m.leaves():
-        if isinstance(leaf, RigidRotation):
-            pass
-        elif isinstance(leaf, Twist):
-            total = total + leaf.profile.potential(yy)
-        elif isinstance(leaf, LocalDiskTwist):
-            total = total + _bump_action_values(leaf, xt, yy)
-        else:
-            raise TypeError(f"not a primitive map factor: {leaf!r}")
+        total = total + leaf.action(xt, yy)
         xt, yy, _ = leaf.step(xt, yy)
     return total
 
@@ -205,16 +182,17 @@ def action_function(m: MapExpr, ctx: ActionContext, p: AnnulusPoint) -> float:
 # ---------------------------------------------------------------------------
 
 def _bump_stage_margins(m: MapExpr, xt, y):
-    """Signed chart-radius margins r - R for every disk-twist stage, evaluated
-    along the forward pass of the factor orbit. The pullback integrand of the
-    tree is smooth except where one of these margins changes sign."""
+    """Kink margins (r - R for a disk twist) of every leaf that has one,
+    evaluated along the forward pass of the factor orbit. The pullback
+    integrand of the tree is smooth except where one of these margins changes
+    sign."""
     xt = np.asarray(xt, dtype=float)
     yy = np.asarray(y, dtype=float)
     margins = []
     for leaf in m.leaves():
-        if isinstance(leaf, LocalDiskTwist):
-            u, v = leaf.chart_offsets(xt, yy)
-            margins.append(np.hypot(u, v) - leaf.radius)
+        margin = leaf.kink_margin(xt, yy)
+        if margin is not None:
+            margins.append(margin)
         xt, yy, _ = leaf.step(xt, yy)
     return margins
 
@@ -304,7 +282,7 @@ def path_independence_defect(m: MapExpr, ctx: ActionContext, p: AnnulusPoint,
 
 def calabi(m: MapExpr, ctx: ActionContext | None = None, tol: float = 1e-9) -> ActionValue:
     """Mean action of m: the integral of the normalized action function over
-    the unit-area annulus, via the leaf-term quadrature engine."""
+    the unit-area annulus, via the leaf-field quadrature engine."""
     ctx = ctx or ActionContext.default()
     value, err = tree_field_integral(m, action_descriptor, tol=tol)
     x0, y0 = ctx.base_point.x, ctx.base_point.y

@@ -315,15 +315,8 @@ def _context_from_config(cfg: dict) -> ActionContext:
 
 
 def _search_from_config(cfg: dict) -> SearchConfig:
-    s = cfg.get("search", {})
-    return SearchConfig(
-        grid=s.get("grid", 48),
-        newton_max_steps=s.get("newton_max_steps", 50),
-        newton_damping=s.get("newton_damping", 0.5),
-        dedup_tolerance=s.get("dedup_tolerance", 1e-6),
-        boundary_margin=s.get("boundary_margin", 0.0),
-        max_grid=s.get("max_grid", 384),
-    )
+    # the schema admits only SearchConfig fields, whose defaults live there
+    return SearchConfig(**cfg.get("search", {}))
 
 
 def _measure_from_config(mcfg: dict, m: MapExpr, cfg_search: SearchConfig) -> MeasureSpec:
@@ -397,11 +390,13 @@ def render_report_json(rep: VerificationReport) -> str:
 
 def phase_portrait_csv(m: MapExpr, seeds_per_axis: int = 12, steps: int = 200) -> str:
     """Plot-ready trajectories: kind,id,step,x,y with deterministic seeds."""
+    n = seeds_per_axis
+    i, j = np.divmod(np.arange(n * n), n)
+    xs, ys = orbit_arrays(m, (i + 0.5) / n, (j + 0.5) / n, steps)
     lines = ["kind,id,step,x,y"]
-    for sid in range(seeds_per_axis**2):
-        i, j = divmod(sid, seeds_per_axis)
-        xs, ys = orbit_arrays(m, (i + 0.5) / seeds_per_axis, (j + 0.5) / seeds_per_axis, steps)
-        for step, (xt, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+    for sid in range(n * n):
+        # one seed column at a time keeps the Python floats small in memory
+        for step, (xt, y) in enumerate(zip(xs[:, sid].tolist(), ys[:, sid].tolist())):
             lines.append(f"trajectory,{sid},{step},{xt % 1.0!r},{y!r}")
     return "\n".join(lines) + "\n"
 

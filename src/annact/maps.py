@@ -7,13 +7,18 @@ preserves both boundary circles, has unit Jacobian determinant, and carries the
 canonical lift that is continuous in parameters and reduces to the identity at
 zero parameters.
 
-Each primitive leaf implements one method, step(xt, y, with_jacobian) ->
-(xt', y', D). It computes the leaf's intermediate quantities (chart offsets,
+Each primitive leaf implements two methods. step(xt, y, with_jacobian) ->
+(xt', y', D) computes the leaf's intermediate quantities (chart offsets,
 radius, rotation) once and forms the differential D from them only when asked;
-D is None when not asked or when the differential is the identity. Composition
-and iteration only record their leaves, in application order. apply_lift,
-jacobian and the fused lift_with_jacobian are each one forward pass over
-leaves(), and orbit_arrays iterates that pass along orbits.
+D is None when not asked or when the differential is the identity.
+action(xt, y) is the leaf's closed-form action function for beta = y dx,
+zero on the lower boundary: 0 for a rotation, the profile potential for a
+twist, the chart formula for a disk twist. Composition and iteration only
+record their leaves, in application order. apply_lift, jacobian and the fused
+lift_with_jacobian are each one forward pass over leaves(), and orbit_arrays
+iterates that pass along orbits; the action function of a tree
+(action.action_values_raw) and the mean-action quadrature
+(quadrature.tree_field_integral) walk the same leaves.
 
 All evaluation routines are vectorized over numpy arrays; the AnnulusPoint /
 LiftedPoint wrappers are thin scalar front ends.
@@ -322,14 +327,24 @@ class _NegatedRadialProfile(RadialProfile):
 class MapExpr:
     """Immutable area-preserving map of the annulus with a canonical lift.
 
-    Primitive leaves implement step(); every other evaluation is one forward
-    pass over leaves(), defined here once.
+    Primitive leaves implement step() and action(); every other evaluation is
+    one forward pass over leaves(), defined here once.
     """
 
     def step(self, xt, y, with_jacobian: bool = False):
         """One leaf's lift and, when with_jacobian is set, its differential:
         (xt', y', D) with D of shape (..., 2, 2), or None for the identity."""
         raise NotImplementedError
+
+    def action(self, xt, y):
+        """One leaf's closed-form action function g, dg = f*beta - beta with
+        beta = y dx, normalized to vanish on the lower boundary."""
+        raise NotImplementedError
+
+    def kink_margin(self, xt, y):
+        """Signed margin whose sign change marks where the leaf is only C^1,
+        or None for a leaf that is smooth everywhere."""
+        return None
 
     def leaves(self) -> tuple["MapExpr", ...]:
         """Primitive factors in application order (innermost first)."""
@@ -397,6 +412,10 @@ class RigidRotation(MapExpr):
     def step(self, xt, y, with_jacobian=False):
         return np.asarray(xt, dtype=float) + self.a, np.asarray(y, dtype=float), None
 
+    def action(self, xt, y):
+        # a rotation pulls beta back to itself
+        return np.zeros(np.broadcast_shapes(np.shape(xt), np.shape(y)))
+
     def inverse(self):
         return RigidRotation(-self.a)
 
@@ -426,6 +445,9 @@ class Twist(MapExpr):
         d = _identity(np.broadcast_shapes(np.shape(xt), y.shape))
         d[..., 0, 1] = self.profile.dphi(y)
         return xt, y, d
+
+    def action(self, xt, y):
+        return self.profile.potential(y)
 
     def inverse(self):
         return Twist(self.profile.negated())
@@ -475,15 +497,19 @@ class LocalDiskTwist(MapExpr):
         v = np.asarray(y, dtype=float) - self.center.y
         return u, v
 
+    def _chart_rotation(self, xt, y):
+        """Chart offsets (u, v), the radius clipped to the support, the inside
+        mask and cos, sin of the rotation angle phi."""
+        u, v = self.chart_offsets(xt, y)
+        r = np.hypot(u, v)
+        rc = np.minimum(r, self.radius)
+        ang = self.profile.phi(rc)
+        return u, v, rc, r < self.radius, np.cos(ang), np.sin(ang)
+
     def step(self, xt, y, with_jacobian=False):
         xt = np.asarray(xt, dtype=float)
         y = np.asarray(y, dtype=float)
-        u, v = self.chart_offsets(xt, y)
-        r = np.hypot(u, v)
-        inside = r < self.radius
-        rc = np.minimum(r, self.radius)
-        ang = self.profile.phi(rc)
-        ca, sa = np.cos(ang), np.sin(ang)
+        u, v, rc, inside, ca, sa = self._chart_rotation(xt, y)
         xt1 = xt + np.where(inside, u * ca - v * sa - u, 0.0)
         y1 = y + np.where(inside, u * sa + v * ca - v, 0.0)
         if not with_jacobian:
@@ -492,12 +518,27 @@ class LocalDiskTwist(MapExpr):
         k = self.profile.dphi_over_r(rc)
         gu = -sa * u - ca * v
         gv = ca * u - sa * v
-        d = np.empty(np.shape(r) + (2, 2))
+        d = np.empty(np.shape(rc) + (2, 2))
         d[..., 0, 0] = np.where(inside, ca + k * gu * u, 1.0)
         d[..., 0, 1] = np.where(inside, -sa + k * gu * v, 0.0)
         d[..., 1, 0] = np.where(inside, sa + k * gv * u, 0.0)
         d[..., 1, 1] = np.where(inside, ca + k * gv * v, 1.0)
         return xt1, y1, d
+
+    def action(self, xt, y):
+        # the rotation-invariant radial part plus the exact correction
+        # S o h - S, with S = u (v/2 + cy) the chart potential of beta - beta_polar
+        u, v, rc, inside, ca, sa = self._chart_rotation(xt, y)
+        cy = self.center.y
+        u1 = u * ca - v * sa
+        v1 = u * sa + v * ca
+        s_before = u * (0.5 * v + cy)
+        s_after = u1 * (0.5 * v1 + cy)
+        return np.where(inside, self.profile.action_radial(rc) + s_after - s_before, 0.0)
+
+    def kink_margin(self, xt, y):
+        u, v = self.chart_offsets(xt, y)
+        return np.hypot(u, v) - self.radius
 
     def inverse(self):
         return LocalDiskTwist(self.center, self.radius, self.profile.negated())

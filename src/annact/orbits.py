@@ -38,7 +38,6 @@ class SearchConfig:
     boundary_margin: float = 0.0
     max_grid: int = 384
     newton_target: float = 1e-12
-    singular_threshold: float = 1e-10
     degenerate_threshold: float = 1e-8
     max_backtracks: int = 8
 
@@ -47,8 +46,7 @@ class SearchConfig:
             raise ValueError("grid and step counts must be positive")
         if not (0 < self.newton_damping < 1):
             raise ValueError("damping factor must lie in (0, 1)")
-        if min(self.dedup_tolerance, self.newton_target, self.singular_threshold,
-               self.degenerate_threshold) <= 0:
+        if min(self.dedup_tolerance, self.newton_target, self.degenerate_threshold) <= 0:
             raise ValueError("tolerances must be positive")
         if not 0 <= self.boundary_margin < 0.5:
             raise ValueError("boundary margin must lie in [0, 0.5)")
@@ -97,25 +95,26 @@ def _residual_norm_only(fq: MapExpr, z: np.ndarray, p: int):
     return np.hypot(xt - z[:, 0] - p, y - z[:, 1])
 
 
-def _newton_steps(g: np.ndarray, jac_g: np.ndarray, singular_threshold: float):
-    """Solve (DF^q - I) step = -G per seed; near-singular systems fall back to
-    the pseudo-inverse (minimum-norm least squares), which also handles whole
-    circles of solutions gracefully."""
-    a = jac_g[:, 0, 0]
-    b = jac_g[:, 0, 1]
-    c = jac_g[:, 1, 0]
-    d = jac_g[:, 1, 1]
+def _newton_steps(g: np.ndarray, jac_g: np.ndarray):
+    """Solve (DF^q - I) step = -G per seed as the minimum-norm least-squares
+    solution, with numpy lstsq's default cutoff (a singular value at most
+    2 eps sigma_1 counts as zero): the inverse while sigma_2 > 2 eps sigma_1,
+    else the rank-1 pseudo-inverse J^T / |J|_F^2, and a zero step for J = 0.
+    The pseudo-inverse also handles whole circles of solutions gracefully."""
+    a, b, c, d = jac_g[:, 0, 0], jac_g[:, 0, 1], jac_g[:, 1, 0], jac_g[:, 1, 1]
     det = a * d - b * c
-    scale = np.maximum(np.abs(a) + np.abs(b) + np.abs(c) + np.abs(d), 1e-300)
-    regular = np.abs(det) > singular_threshold * scale**2
-    step = np.zeros_like(g)
-    det_safe = np.where(regular, det, 1.0)
+    frob2 = a * a + b * b + c * c + d * d
+    # sigma_1^2 and sigma_2^2 are the roots of s^2 - frob2 s + det^2
+    s1sq = 0.5 * (frob2 + np.sqrt(np.maximum(frob2 * frob2 - 4.0 * det * det, 0.0)))
+    full = np.abs(det) > 2.0 * np.finfo(float).eps * s1sq
+    step = np.empty_like(g)
+    det_safe = np.where(full, det, 1.0)
     step[:, 0] = (-g[:, 0] * d + g[:, 1] * b) / det_safe
     step[:, 1] = (-g[:, 1] * a + g[:, 0] * c) / det_safe
-    if not np.all(regular):
-        idx = np.nonzero(~regular)[0]
-        for i in idx:
-            step[i] = np.linalg.lstsq(jac_g[i], -g[i], rcond=None)[0]
+    # rank 1, or J = 0, where J^T g = 0 makes the step zero
+    low = ~full
+    jt_g = np.einsum("nji,nj->ni", jac_g[low], g[low])
+    step[low] = -jt_g / np.maximum(frob2[low], np.finfo(float).tiny)[:, None]
     return step
 
 
@@ -142,7 +141,7 @@ def _newton_polish(m: MapExpr, q: int, p: int, seeds: np.ndarray,
         if not np.any(live):
             continue
         sub = idx[live]
-        step = _newton_steps(g[live], jac[live], cfg.singular_threshold)
+        step = _newton_steps(g[live], jac[live])
         lam = np.ones(len(sub))
         base_norm = ni[live]
         accepted = np.zeros(len(sub), dtype=bool)

@@ -2,12 +2,15 @@
 
 The scalar fields this library integrates (action functions and one-step lift
 displacements of maps in the closed algebra) are sums of leaf contributions
-composed with prefix maps. Smooth contributions are handled by spectral rules
-(Gauss-Legendre in y, and in chart radii; trapezoid in periodic angles). Local
-disk twists make the fields only C^1 across their chart circles, where tensor
-rules on the square lose their order; those contributions are instead
-integrated in polar charts around the support disks, where the integrands are
-smooth again.
+composed with prefix maps. A contribution is a pointwise leaf field
+field(leaf, xt, y), read off the leaf's own closed forms (its step and its
+action), so each family's formulas live once, in maps.py; tree_field_integral
+only knows where each family's field is smooth. Smooth contributions are
+handled by spectral rules (Gauss-Legendre in y, and in chart radii; trapezoid
+in periodic angles). Local disk twists make the fields only C^1 across their
+chart circles, where tensor rules on the square lose their order; those
+contributions are instead integrated in polar charts around the support
+disks, where the integrands are smooth again.
 
 Changing variables into a chart uses the numerically evaluated Jacobian
 determinant of the inverse prefix map (a value near 1 for this algebra, but
@@ -16,7 +19,6 @@ computed, not assumed), so no measure-invariance property is taken on faith.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -87,38 +89,19 @@ def tensor_annulus_integral(fn: Callable, tol: float = 1e-9, n0: int = 32,
 
 
 # ---------------------------------------------------------------------------
-# leaf-term decomposition of tree fields
+# leaf-field decomposition of tree fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZeroTerm:
-    pass
+def displacement_descriptor(leaf: MapExpr, xt, y):
+    """Pointwise leaf field: the one-step x-lift displacement of a primitive
+    factor."""
+    return leaf.step(xt, y)[0] - xt
 
 
-@dataclass(frozen=True)
-class ConstTerm:
-    value: float
-
-
-@dataclass(frozen=True)
-class YFunctionTerm:
-    """Contribution f(y) evaluated after the prefix map."""
-
-    fn: Callable
-
-
-@dataclass(frozen=True)
-class ChartTerm:
-    """Contribution supported in the leaf's chart disk, given in chart polar
-    coordinates as fn(r, theta)."""
-
-    center_x: float
-    center_y: float
-    radius: float
-    fn: Callable
-
-
-TermDescriptor = ZeroTerm | ConstTerm | YFunctionTerm | ChartTerm
+def action_descriptor(leaf: MapExpr, xt, y):
+    """Pointwise leaf field: the closed-form action function of a primitive
+    factor with beta = y dx, zero on the lower boundary."""
+    return leaf.action(xt, y)
 
 
 def _inverse_jacobian_factor(prefix: MapExpr | None):
@@ -135,22 +118,29 @@ def _inverse_jacobian_factor(prefix: MapExpr | None):
     return factor
 
 
-def tree_field_integral(m: MapExpr, describe_leaf: Callable[[MapExpr], TermDescriptor],
-                        tol: float = 1e-9) -> tuple[float, float]:
-    """Integrate sum_j term_j(F_j(z)) over the annulus, where the leaves f_j of
-    m are applied in order, F_j = f_{j-1} o ... o f_1, and describe_leaf gives
-    each leaf's contribution.
+def _chart_integral(fn: Callable, disk: LocalDiskTwist, tol: float) -> tuple[float, float]:
+    """Integral of fn(x, y) over the support disk of a disk twist, in its
+    polar chart."""
+    cx, cy = disk.center.x, disk.center.y
+    return polar_disk_integral(
+        lambda r, theta: fn(cx + r * np.cos(theta), cy + r * np.sin(theta)), disk.radius, tol=tol)
 
-    Per term:
-      ZeroTerm      -> skipped.
-      ConstTerm     -> the constant (the annulus has unit area).
-      YFunctionTerm -> base integral of f(y) dy, plus one polar-chart
-                       correction per disk twist in the prefix (telescoping
-                       the prefix stage by stage; y-preserving stages drop out
-                       exactly).
-      ChartTerm     -> polar-chart integral over the preimage of the support
-                       disk, with the numerically evaluated inverse-prefix
-                       Jacobian determinant as density.
+
+def tree_field_integral(m: MapExpr, field: Callable, tol: float = 1e-9) -> tuple[float, float]:
+    """Integrate sum_j field(f_j, F_j(z)) over the annulus, where the leaves f_j
+    of m are applied in order, F_j = f_{j-1} o ... o f_1, and field(leaf, xt, y)
+    is a pointwise leaf field (action_descriptor, displacement_descriptor).
+
+    The only family dispatch of the engine is here, by the shape each family's
+    field has:
+      rigid rotation -> a constant (the annulus has unit area).
+      twist          -> a function of y alone: base integral over y, plus one
+                        polar-chart correction per disk twist in the prefix
+                        (telescoping the prefix stage by stage; y-preserving
+                        stages drop out exactly).
+      disk twist     -> supported in its chart disk: polar-chart integral over
+                        the disk, with the numerically evaluated
+                        inverse-prefix Jacobian determinant as density.
 
     Returns (value, accumulated increment estimate).
     """
@@ -158,40 +148,28 @@ def tree_field_integral(m: MapExpr, describe_leaf: Callable[[MapExpr], TermDescr
     total = 0.0
     err = 0.0
     for j, leaf in enumerate(leaves):
-        desc = describe_leaf(leaf)
-        if isinstance(desc, ZeroTerm):
+        if isinstance(leaf, RigidRotation):
+            total += float(field(leaf, 0.0, 0.0))
             continue
-        if isinstance(desc, ConstTerm):
-            total += desc.value
-            continue
-        if isinstance(desc, YFunctionTerm):
-            v, e = integrate_unit_interval(desc.fn, tol=tol)
+        if isinstance(leaf, Twist):
+            def fn_y(y, leaf=leaf):
+                return field(leaf, 0.0, y)
+
+            parts = [integrate_unit_interval(fn_y, tol=tol)]
+            parts += [_bump_stage_correction(fn_y, b, compose_chain(leaves[:i]), tol)
+                      for i, b in enumerate(leaves[:j]) if isinstance(b, LocalDiskTwist)]
+        elif isinstance(leaf, LocalDiskTwist):
+            jac_factor = _inverse_jacobian_factor(compose_chain(leaves[:j]))
+
+            def chart_fn(x, y, leaf=leaf, jac_factor=jac_factor):
+                return field(leaf, x, y) * jac_factor(x, y)
+
+            parts = [_chart_integral(chart_fn, leaf, tol)]
+        else:
+            raise TypeError(f"not a primitive map factor: {leaf!r}")
+        for v, e in parts:
             total += v
             err += e
-            for i in range(j):
-                b = leaves[i]
-                if not isinstance(b, LocalDiskTwist):
-                    continue
-                v, e = _bump_stage_correction(desc.fn, b, compose_chain(leaves[:i]), tol)
-                total += v
-                err += e
-            continue
-        if isinstance(desc, ChartTerm):
-            prefix = compose_chain(leaves[:j])
-            jac_factor = _inverse_jacobian_factor(prefix)
-            cx, cy, R = desc.center_x, desc.center_y, desc.radius
-            fn = desc.fn
-
-            def chart_fn(r, theta, cx=cx, cy=cy, fn=fn, jac_factor=jac_factor):
-                x = cx + r * np.cos(theta)
-                y = cy + r * np.sin(theta)
-                return fn(r, theta) * jac_factor(x, y)
-
-            v, e = polar_disk_integral(chart_fn, R, tol=tol)
-            total += v
-            err += e
-            continue
-        raise TypeError(f"unknown term descriptor {desc!r}")
     return total, err
 
 
@@ -200,64 +178,9 @@ def _bump_stage_correction(fn_y: Callable, bump: LocalDiskTwist,
     """Chart integral of f(y after the bump) - f(y before) over the bump disk,
     weighted by the inverse-prefix Jacobian determinant."""
     jac_factor = _inverse_jacobian_factor(prefix)
-    cx = bump.center.x
-    cy = bump.center.y
-    prof = bump.profile
 
-    def chart_fn(r, theta):
-        phi = prof.phi(r)
-        y_before = cy + r * np.sin(theta)
-        y_after = cy + r * np.sin(theta + phi)
-        x = cx + r * np.cos(theta)
-        return (fn_y(y_after) - fn_y(y_before)) * jac_factor(x, y_before)
+    def chart_fn(x, y):
+        y_after = bump.step(x, y)[1]
+        return (fn_y(y_after) - fn_y(y)) * jac_factor(x, y)
 
-    return polar_disk_integral(chart_fn, bump.radius, tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# standard descriptors
-# ---------------------------------------------------------------------------
-
-def displacement_descriptor(leaf: MapExpr) -> TermDescriptor:
-    """One-step x-lift displacement contribution of a primitive factor."""
-    if isinstance(leaf, RigidRotation):
-        return ConstTerm(leaf.a)
-    if isinstance(leaf, Twist):
-        return YFunctionTerm(leaf.profile.phi)
-    if isinstance(leaf, LocalDiskTwist):
-        prof = leaf.profile
-
-        def fn(r, theta, prof=prof):
-            return r * (np.cos(theta + prof.phi(r)) - np.cos(theta))
-
-        return ChartTerm(leaf.center.x, leaf.center.y, leaf.radius, fn)
-    raise TypeError(f"not a primitive map factor: {leaf!r}")
-
-
-def action_descriptor(leaf: MapExpr) -> TermDescriptor:
-    """Action-function contribution of a primitive factor with beta = y dx,
-    normalized to vanish on the lower boundary.
-
-    Rotations pull beta back to itself (zero term). A twist contributes its
-    potential, a function of y alone. A disk twist contributes its chart
-    action: the rotation-invariant radial part plus the exact-correction
-    S o h - S with S = u (v/2 + cy) the chart potential of beta - beta_polar.
-    """
-    if isinstance(leaf, RigidRotation):
-        return ZeroTerm()
-    if isinstance(leaf, Twist):
-        return YFunctionTerm(leaf.profile.potential)
-    if isinstance(leaf, LocalDiskTwist):
-        prof = leaf.profile
-        cy = leaf.center.y
-
-        def fn(r, theta, prof=prof, cy=cy):
-            phi = prof.phi(r)
-            u0, v0 = r * np.cos(theta), r * np.sin(theta)
-            u1, v1 = r * np.cos(theta + phi), r * np.sin(theta + phi)
-            s_before = u0 * (0.5 * v0 + cy)
-            s_after = u1 * (0.5 * v1 + cy)
-            return prof.action_radial(r) + s_after - s_before
-
-        return ChartTerm(leaf.center.x, leaf.center.y, leaf.radius, fn)
-    raise TypeError(f"not a primitive map factor: {leaf!r}")
+    return _chart_integral(chart_fn, bump, tol)
