@@ -379,9 +379,12 @@ class MapExpr:
         raise NotImplementedError
 
     def boundary_displacement(self, which: str) -> float:
-        """Exact lift displacement of the boundary restriction (a rigid circle
-        rotation for every member of this algebra)."""
-        raise NotImplementedError
+        """Exact lift displacement of the boundary restriction: one forward
+        pass from x = 0 on that boundary circle, which every leaf rotates
+        rigidly, so the displacement is the same from every boundary point."""
+        if which not in ("lower", "upper"):
+            raise ValueError("boundary selector must be 'lower' or 'upper'")
+        return float(self.apply_lift(0.0, 0.0 if which == "lower" else 1.0)[0])
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -419,10 +422,6 @@ class RigidRotation(MapExpr):
     def inverse(self):
         return RigidRotation(-self.a)
 
-    def boundary_displacement(self, which):
-        _check_which(which)
-        return self.a
-
     def describe(self):
         return f"rigid(a={self.a!r})"
 
@@ -451,10 +450,6 @@ class Twist(MapExpr):
 
     def inverse(self):
         return Twist(self.profile.negated())
-
-    def boundary_displacement(self, which):
-        _check_which(which)
-        return float(self.profile.phi(0.0 if which == "lower" else 1.0))
 
     def describe(self):
         return f"twist({self.profile!r})"
@@ -543,10 +538,6 @@ class LocalDiskTwist(MapExpr):
     def inverse(self):
         return LocalDiskTwist(self.center, self.radius, self.profile.negated())
 
-    def boundary_displacement(self, which):
-        _check_which(which)
-        return 0.0
-
     def describe(self):
         return (
             f"disk_twist(cx={self.center.x!r},cy={self.center.y!r},"
@@ -579,9 +570,6 @@ class Compose(MapExpr):
     def inverse(self):
         return Compose(self.inner.inverse(), self.outer.inverse())
 
-    def boundary_displacement(self, which):
-        return self.inner.boundary_displacement(which) + self.outer.boundary_displacement(which)
-
     def describe(self):
         return f"({self.outer.describe()} o {self.inner.describe()})"
 
@@ -607,9 +595,6 @@ class Iterate(MapExpr):
     def inverse(self):
         return Iterate(self.base.inverse(), self.k)
 
-    def boundary_displacement(self, which):
-        return self.k * self.base.boundary_displacement(which)
-
     def describe(self):
         return f"({self.base.describe()})^{self.k}"
 
@@ -626,11 +611,6 @@ def compose_chain(factors: Iterable[MapExpr]) -> MapExpr | None:
     for f in factors:
         expr = f if expr is None else Compose(f, expr)
     return expr
-
-
-def _check_which(which: str):
-    if which not in ("lower", "upper"):
-        raise ValueError("boundary selector must be 'lower' or 'upper'")
 
 
 # ---------------------------------------------------------------------------
@@ -709,10 +689,10 @@ def area_defect(m: MapExpr, n: int = 64) -> float:
 class BoundaryCircleMap:
     """Lifted circle map of a boundary restriction.
 
-    displacement is the exact per-step advance: every member of this algebra
-    restricts to a rigid rotation on each boundary circle (rotations and twists
-    advance by a constant there, disk twists are the identity, and composition
-    adds displacements).
+    displacement is the exact per-step advance, m.boundary_displacement(which):
+    every member of this algebra restricts to a rigid rotation on each boundary
+    circle (rotations and twists advance by a constant there, disk twists are
+    the identity), so one forward pass from one boundary point gives it.
     """
 
     map: MapExpr
@@ -734,7 +714,6 @@ class BoundaryCircleMap:
 
 
 def boundary_circle_map(m: MapExpr, which: str) -> BoundaryCircleMap:
-    _check_which(which)
     return BoundaryCircleMap(m, which, m.boundary_displacement(which))
 
 

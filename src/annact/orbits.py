@@ -142,8 +142,11 @@ def _newton_polish(m: MapExpr, q: int, p: int, seeds: np.ndarray,
             continue
         sub = idx[live]
         step = _newton_steps(g[live], jac[live])
+        # a zero step (DF^q = I) leaves z where it is, so no trial can pass
+        moving = np.any(step != 0.0, axis=1)
+        active[sub[~moving]] = False
+        sub, step, base_norm = sub[moving], step[moving], ni[live][moving]
         lam = np.ones(len(sub))
-        base_norm = ni[live]
         accepted = np.zeros(len(sub), dtype=bool)
         trial = np.empty_like(z[sub])
         for _ in range(cfg.max_backtracks):

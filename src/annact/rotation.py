@@ -2,9 +2,11 @@
 
 All rotation quantities are scalars in turns per iterate: the annulus reduces
 the rotation vector to the pairing with dx, i.e. the average x-advance in the
-universal cover. The mean rotation number of the area measure is computed as
-a one-step displacement integral, which the invariance of the area measure
-makes equivalent to the long-orbit average.
+universal cover. A measure's rotation number is the mean of the one-step lift
+displacement, read as measure_action reads the mean of the action function:
+exact on boundary circles and orbits, by quadrature for the area measure
+(whose invariance makes it equal to the long-orbit average), and by the same
+Birkhoff estimator over the measure's own orbit for empirical measures.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import ActionContext, MeasureSpec, measure_action
+from .action import ActionContext, MeasureSpec, birkhoff_average, measure_action
 from .maps import MapExpr, RigidRotation, Twist, boundary_circle_map, eval_map, orbit_arrays
 from .phase_space import AnnulusPoint
 from .quadrature import displacement_descriptor, tree_field_integral
@@ -57,10 +59,10 @@ def rotation_number_point(m: MapExpr, p: AnnulusPoint, n_iter: int = 100_000) ->
     """Average lift displacement along the orbit of p.
 
     Closed forms are used for rigid rotations, twists, and fixed points; the
-    generic path iterates the lift and reports the tail fluctuation (the max
-    deviation of the averages at n/2 and 3n/4 from the average at n) as the
-    error estimate. Non-convergence is reported through the estimate, not
-    raised; callers decide.
+    generic path takes the n_iter one-step displacements along the orbit of
+    n_iter + 1 points and averages them with action.birkhoff_average, whose
+    tail fluctuation is the error estimate. Non-convergence is reported
+    through the estimate, not raised; callers decide.
     """
     if n_iter < 1000:
         raise ValueError("rotation averages need n_iter >= 1000")
@@ -68,21 +70,15 @@ def rotation_number_point(m: MapExpr, p: AnnulusPoint, n_iter: int = 100_000) ->
     if closed is not None:
         return closed
     xs, _ = orbit_arrays(m, p.x, p.y, n_iter + 1)
-
-    def mean_advance(j):
-        return (float(xs[j]) - p.x) / j
-
-    value = mean_advance(n_iter)
-    err = max(abs(mean_advance(j) - value) for j in (n_iter // 2, (3 * n_iter) // 4))
-    return RotationValue(value, err, exact=False)
+    return RotationValue(*birkhoff_average(np.diff(xs)), exact=False)
 
 
-def boundary_rotation_number(m: MapExpr, which: str, n_iter: int | None = None) -> RotationValue:
+def boundary_rotation_number(m: MapExpr, which: str) -> RotationValue:
     """Poincare rotation number of a boundary restriction.
 
     Every map in this algebra restricts to a rigid circle rotation on each
     boundary (constant lift displacement), so the Birkhoff limit is attained
-    exactly; the displacement is read off the factor tree.
+    exactly; the displacement is one forward pass from a boundary point.
     """
     bcm = boundary_circle_map(m, which)
     return RotationValue(bcm.displacement, 0.0, exact=True)
@@ -96,18 +92,20 @@ def mean_rotation_area(m: MapExpr, tol: float = 1e-9) -> RotationValue:
 
 
 def measure_rotation(m: MapExpr, mu: MeasureSpec, n_iter: int = 100_000) -> RotationValue:
-    """Rotation number of an invariant measure."""
+    """Rotation number of an invariant measure.
+
+    Empirical measures average over their own mu.n_iter iterates, as in
+    measure_action. n_iter is accepted and not used, like a boundary
+    measure's n_iter in measure_action.
+    """
     if mu.variant == "area":
         return mean_rotation_area(m)
-    if mu.variant == "boundary_lower":
-        return boundary_rotation_number(m, "lower")
-    if mu.variant == "boundary_upper":
-        return boundary_rotation_number(m, "upper")
+    if mu.variant in ("boundary_lower", "boundary_upper"):
+        return boundary_rotation_number(m, mu.variant.removeprefix("boundary_"))
     if mu.variant == "orbit":
-        orbit = mu.orbit
-        return RotationValue(orbit.p / orbit.q, 0.0, exact=True)
+        return RotationValue(mu.orbit.p / mu.orbit.q, 0.0, exact=True)
     if mu.variant == "empirical":
-        return rotation_number_point(m, mu.seed, n_iter=max(n_iter, mu.n_iter))
+        return rotation_number_point(m, mu.seed, mu.n_iter)
     raise ValueError(f"unknown measure variant {mu.variant!r}")
 
 
