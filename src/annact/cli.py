@@ -287,6 +287,11 @@ CONFIG_SCHEMA = {
 }
 
 
+# CONFIG_SCHEMA is a constant, so it is checked once by a test rather than on
+# every load, as jsonschema.validate would
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -296,11 +301,10 @@ def load_config(path: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: line {e.lineno} col {e.colno}: {e.msg}") from e
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        loc = "/".join(str(x) for x in e.absolute_path) or "<root>"
-        raise ConfigError(f"config {path}: at {loc}: {e.message}") from e
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        loc = "/".join(str(x) for x in error.absolute_path) or "<root>"
+        raise ConfigError(f"config {path}: at {loc}: {error.message}") from error
     return cfg
 
 
@@ -504,16 +508,15 @@ def cmd_orbits(args) -> int:
         search = replace(search, grid=args.grid)
     ps = [args.p] if args.p is not None else candidate_windings(m, args.q)
     workers = _workers(args.workers, cfg)
-    all_orbits = []
+    all_orbits = find_periodic_orbits(m, args.q, ps, search, workers=workers)
     for p in ps:
-        orbits = find_periodic_orbits(m, args.q, p, search, workers=workers)
+        orbits = [o for o in all_orbits if o.p == p]
         print(f"q={args.q} p={p}: {len(orbits)} orbit(s)")
         for o in orbits:
             print(
                 f"  start=({o.points[0].xt!r},{o.points[0].y!r}) residual={o.residual!r} "
                 f"least_period={o.least_period} action={o.action!r} degenerate={o.degenerate_flag}"
             )
-        all_orbits.extend(orbits)
     if args.out:
         Path(args.out).write_text(orbits_to_csv(all_orbits))
         print(f"wrote {args.out}")
@@ -665,12 +668,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_map_args(sp)
     sp.add_argument("--point", action="append", help="x,y (repeatable)")
     sp.add_argument("--beta-shift", type=float, default=None, help="use beta + c dx")
-    sp.add_argument("--n-iter", type=int, default=100_000)
+    sp.add_argument("--n-iter", type=int, default=100_000,
+                    help="ignored: boundary and area values are exact")
     sp.set_defaults(func=cmd_action)
 
     sp = sub.add_parser("rotation", help="rotation numbers and the boundary identity")
     add_map_args(sp)
-    sp.add_argument("--n-iter", type=int, default=100_000)
+    sp.add_argument("--n-iter", type=int, default=100_000,
+                    help="ignored: boundary values are exact")
     sp.set_defaults(func=cmd_rotation)
 
     sp = sub.add_parser("orbits", help="periodic orbit census")

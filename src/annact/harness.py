@@ -177,17 +177,16 @@ def _action_range(m: MapExpr, ctx: ActionContext, n: int = 192) -> tuple[float, 
 
 def _census_for_q(m: MapExpr, q: int, ps: list[int], cfg: SearchConfig,
                   workers: int) -> tuple[list[WindingCensus], int]:
-    """Union of windowed searches, doubling the seed lattice until at least two
-    distinct orbits appear or the density cap is reached."""
+    """Union of windowed searches, one Newton run over all windings per grid,
+    doubling the seed lattice until at least two distinct orbits appear or the
+    density cap is reached."""
     from dataclasses import replace
 
     grid = cfg.grid
     while True:
         run_cfg = replace(cfg, grid=grid)
-        censuses = [
-            WindingCensus(p, tuple(find_periodic_orbits(m, q, p, run_cfg, workers=workers)))
-            for p in ps
-        ]
+        orbits = find_periodic_orbits(m, q, ps, run_cfg, workers=workers)
+        censuses = [WindingCensus(p, tuple(o for o in orbits if o.p == p)) for p in ps]
         total = sum(len(c.orbits) for c in censuses)
         if total >= 2 or grid >= cfg.max_grid:
             return censuses, grid

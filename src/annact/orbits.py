@@ -14,6 +14,7 @@ degenerate rather than enumerated.
 from __future__ import annotations
 
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -118,11 +119,22 @@ def _newton_steps(g: np.ndarray, jac_g: np.ndarray):
     return step
 
 
-def _newton_polish(m: MapExpr, q: int, p: int, seeds: np.ndarray,
-                   cfg: SearchConfig) -> np.ndarray:
-    """Run damped Newton from every seed; return the converged solutions."""
+def _newton_polish(m: MapExpr, q: int, p: int | np.ndarray, seeds: np.ndarray,
+                   cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Run damped Newton from every seed; return the converged solutions and
+    their windings, in seed order.
+
+    p is one winding for all seeds or an array of one winding per seed, so
+    the seeds of several windings share every batched call. The line search
+    tries the damping levels 1, d, d^2, ... (max_backtracks of them) in order
+    and accepts a row's first level that lowers the residual enough; it tries
+    as many levels per residual call as keeps levels x rows within the seed
+    count, so no call is larger than the first Jacobian pass and each row
+    takes the step a one-level-at-a-time search would take."""
     fq = Iterate(m, q)
     z = np.array(seeds, dtype=float).reshape(-1, 2).copy()
+    p = np.broadcast_to(p, len(z))
+    levels = np.cumprod([1.0] + [cfg.newton_damping] * cfg.max_backtracks)[: cfg.max_backtracks]
     active = np.ones(len(z), dtype=bool)
     done = np.zeros(len(z), dtype=bool)
     for _ in range(cfg.newton_max_steps):
@@ -132,7 +144,7 @@ def _newton_polish(m: MapExpr, q: int, p: int, seeds: np.ndarray,
         zi = z[idx]
         # G(z) = F^q(z) - z - (p, 0) and DG = DF^q - I, in one fused pass
         xt, y, jac = fq.lift_with_jacobian(zi[:, 0], zi[:, 1])
-        g = np.stack([xt - zi[:, 0] - p, y - zi[:, 1]], axis=1)
+        g = np.stack([xt - zi[:, 0] - p[idx], y - zi[:, 1]], axis=1)
         jac = jac - np.eye(2)
         ni = np.linalg.norm(g, axis=1)
         newly_done = ni < cfg.newton_target
@@ -146,26 +158,23 @@ def _newton_polish(m: MapExpr, q: int, p: int, seeds: np.ndarray,
         moving = np.any(step != 0.0, axis=1)
         active[sub[~moving]] = False
         sub, step, base_norm = sub[moving], step[moving], ni[live][moving]
-        lam = np.ones(len(sub))
-        accepted = np.zeros(len(sub), dtype=bool)
-        trial = np.empty_like(z[sub])
-        for _ in range(cfg.max_backtracks):
-            todo = ~accepted
-            if not np.any(todo):
-                break
-            cand = z[sub][todo] + lam[todo, None] * step[todo]
-            cand[:, 1] = np.clip(cand[:, 1], 0.0, 1.0)
-            cand_norm = _residual_norm_only(fq, cand, p)
-            improved = (cand_norm <= base_norm[todo] * (1.0 - 1e-4 * lam[todo])) | (
+        k = 0
+        while sub.size and k < len(levels):
+            lam = levels[k : k + max(1, len(z) // sub.size)]
+            cand = z[sub] + lam[:, None, None] * step  # (level, row, 2)
+            cand[..., 1] = np.clip(cand[..., 1], 0.0, 1.0)
+            cand_norm = _residual_norm_only(
+                fq, cand.reshape(-1, 2), np.tile(p[sub], len(lam))).reshape(len(lam), -1)
+            improved = (cand_norm <= base_norm * (1.0 - 1e-4 * lam[:, None])) | (
                 cand_norm < cfg.newton_target
             )
-            sel = np.nonzero(todo)[0]
-            trial[sel[improved]] = cand[improved]
-            accepted[sel[improved]] = True
-            lam[sel[~improved]] *= cfg.newton_damping
-        z[sub[accepted]] = trial[accepted]
-        active[sub[~accepted]] = False
-    return z[_residual_norm_only(fq, z, p) < cfg.newton_target * 10]
+            hit = improved.any(axis=0)
+            z[sub[hit]] = cand[improved.argmax(axis=0)[hit], np.flatnonzero(hit)]
+            sub, step, base_norm = sub[~hit], step[~hit], base_norm[~hit]
+            k += len(lam)
+        active[sub] = False
+    ok = _residual_norm_only(fq, z, p) < cfg.newton_target * 10
+    return z[ok], p[ok]
 
 
 # ---------------------------------------------------------------------------
@@ -275,24 +284,31 @@ def _seed_lattice(n: int, margin: float) -> np.ndarray:
     return np.stack([X.ravel(), Y.ravel()], axis=1)
 
 
-def find_periodic_orbits(m: MapExpr, q: int, p: int,
+def find_periodic_orbits(m: MapExpr, q: int, p: int | Sequence[int],
                          cfg: SearchConfig | None = None,
                          workers: int = 1) -> list[PeriodicOrbit]:
     """Multi-start damped Newton census of type-(q, p) orbits.
 
-    Newton runs on the seed lattice in deterministic batches (worker
-    partitioning never changes the set of seeds or the merge order); the
-    converged solutions are canonicalised as arrays, certified at residual
-    < 1e-9 and deduplicated with the cyclic/deck-translation metric, and one
-    orbit is built per distinct solution, in canonical order.
+    p is one winding or a sequence of windings. The seed lattice is tiled
+    once per winding and one Newton run polishes all the rows together, in
+    deterministic batches (worker partitioning never changes the set of seeds
+    or the merge order). Each winding's converged solutions are then
+    canonicalised as arrays, certified at residual < 1e-9 and deduplicated
+    with the cyclic/deck-translation metric, and one orbit is built per
+    distinct solution, in canonical order. The orbits of all windings come
+    back as one list in the given p order; each carries its own p.
     """
     if q < 1:
         raise ValueError("period must be a positive integer")
     cfg = cfg or SearchConfig()
-    seeds = _seed_lattice(cfg.grid, cfg.boundary_margin)
-    chunks = np.array_split(seeds, max(1, int(workers)))
-    sols = np.concatenate([_newton_polish(m, q, p, chunk, cfg) for chunk in chunks])
-    return _orbits_from_solutions(m, q, p, sols, cfg)
+    ps = list(p) if np.ndim(p) else [p]
+    lattice = _seed_lattice(cfg.grid, cfg.boundary_margin)
+    seeds = np.tile(lattice, (len(ps), 1))
+    windings = np.repeat(ps, len(lattice))
+    chunks = np.array_split(np.arange(len(seeds)), max(1, int(workers)))
+    polished = [_newton_polish(m, q, windings[c], seeds[c], cfg) for c in chunks]
+    sols, sol_p = map(np.concatenate, zip(*polished))
+    return [o for w in ps for o in _orbits_from_solutions(m, q, w, sols[sol_p == w], cfg)]
 
 
 def refine_orbit(m: MapExpr, seed_orbit: PeriodicOrbit, target_residual: float = 1e-12,
@@ -309,7 +325,7 @@ def refine_orbit(m: MapExpr, seed_orbit: PeriodicOrbit, target_residual: float =
     if start_norm >= 1e-2:
         raise NonConvergentError(
             f"seed residual {start_norm:.3g} too far from a solution (need < 1e-2)")
-    sols = _newton_polish(m, seed_orbit.q, seed_orbit.p, z0, cfg)
+    sols, _ = _newton_polish(m, seed_orbit.q, seed_orbit.p, z0, cfg)
     if len(sols) == 0:
         raise NonConvergentError("Newton refinement did not converge")
     orbs = _orbits_from_solutions(m, seed_orbit.q, seed_orbit.p, sols[:1], cfg)
@@ -348,7 +364,7 @@ def grid_scan_orbits(m: MapExpr, q: int, p: int, n: int = 2000,
         xt, yy = fq.apply_lift(X, Y)
         hit = np.hypot(xt - X - p, yy - Y) < capture_threshold
         candidates.append(np.stack([X[hit], Y[hit]], axis=1))
-    sols = _newton_polish(m, q, p, np.concatenate(candidates), cfg)
+    sols, _ = _newton_polish(m, q, p, np.concatenate(candidates), cfg)
     return _orbits_from_solutions(m, q, p, sols, cfg)
 
 
