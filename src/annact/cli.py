@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +213,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "q_max": {"type": "integer", "minimum": 1},
                 "n_iter": {"type": "integer", "minimum": 1000},
+                # accepted and ignored: the census is one batched run
                 "workers": {"type": "integer", "minimum": 1},
             },
             "additionalProperties": False,
@@ -323,13 +324,15 @@ def _search_from_config(cfg: dict) -> SearchConfig:
     return SearchConfig(**cfg.get("search", {}))
 
 
-def _measure_from_config(mcfg: dict, m: MapExpr, cfg_search: SearchConfig) -> MeasureSpec:
+def _measure_from_config(mcfg: dict, m: MapExpr, cfg_search: SearchConfig,
+                         empirical_n_iter: int) -> MeasureSpec:
     kind = mcfg["kind"]
     if kind in ("boundary_lower", "boundary_upper", "area"):
         return MeasureSpec(kind, n_iter=mcfg.get("n_iter", 1_000_000))
     if kind == "empirical":
         seed = mcfg["seed"]
-        return MeasureSpec.empirical(AnnulusPoint(seed[0], seed[1]), mcfg.get("n_iter", 100_000))
+        return MeasureSpec.empirical(AnnulusPoint(seed[0], seed[1]),
+                                     mcfg.get("n_iter", empirical_n_iter))
     if kind == "orbit":
         orbits = find_periodic_orbits(m, mcfg["q"], mcfg["p"], cfg_search)
         idx = mcfg.get("index", 0)
@@ -339,18 +342,6 @@ def _measure_from_config(mcfg: dict, m: MapExpr, cfg_search: SearchConfig) -> Me
                 f"({mcfg['q']},{mcfg['p']}), index {idx} unavailable")
         return MeasureSpec.from_orbit(orbits[idx])
     raise ConfigError(f"unknown measure kind {kind!r}")
-
-
-def _workers(args_workers: int | None, cfg: dict | None = None) -> int:
-    if args_workers is not None:
-        return max(1, args_workers)
-    if cfg is not None and "task" in cfg and "workers" in cfg["task"]:
-        return max(1, cfg["task"]["workers"])
-    env = os.environ.get("ANNACT_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +493,10 @@ def cmd_orbits(args) -> int:
     cfg = _maybe_config(args)
     m = _resolve_map(args, cfg)
     search = _search_from_config(cfg) if cfg else SearchConfig()
-    if args.grid:
-        from dataclasses import replace
-
+    if args.grid is not None:
         search = replace(search, grid=args.grid)
     ps = [args.p] if args.p is not None else candidate_windings(m, args.q)
-    workers = _workers(args.workers, cfg)
-    all_orbits = find_periodic_orbits(m, args.q, ps, search, workers=workers)
+    all_orbits = find_periodic_orbits(m, args.q, ps, search)
     for p in ps:
         orbits = [o for o in all_orbits if o.p == p]
         print(f"q={args.q} p={p}: {len(orbits)} orbit(s)")
@@ -530,10 +518,11 @@ def cmd_verify(args) -> int:
     m = map_from_config(cfg["map"])
     ctx = _context_from_config(cfg)
     search = _search_from_config(cfg)
-    mu1 = _measure_from_config(cfg["measures"]["mu1"], m, search)
-    mu2 = _measure_from_config(cfg["measures"]["mu2"], m, search)
-    q_max = cfg.get("task", {}).get("q_max")
-    workers = _workers(args.workers, cfg)
+    task = cfg.get("task", {})
+    n_iter = task.get("n_iter", 100_000)
+    mu1 = _measure_from_config(cfg["measures"]["mu1"], m, search, n_iter)
+    mu2 = _measure_from_config(cfg["measures"]["mu2"], m, search, n_iter)
+    q_max = task.get("q_max")
     try:
         if q_max is None:
             delta, _ = action_gap(m, mu1, mu2, ctx)
@@ -542,7 +531,7 @@ def cmd_verify(args) -> int:
                 raise ConfigError(
                     f"action gap {delta:.3e} puts the period threshold at {q_max - 2}; "
                     "set task.q_max explicitly for a search this deep")
-        rep = verify_theorem(m, mu1, mu2, q_max=q_max, cfg=search, ctx=ctx, workers=workers)
+        rep = verify_theorem(m, mu1, mu2, q_max=q_max, cfg=search, ctx=ctx)
     except DegenerateGapError as e:
         print(f"DegenerateGap: {e}")
         return EXIT_INCONCLUSIVE
@@ -560,10 +549,7 @@ def cmd_example41(args) -> int:
     cx, cy = (float(t) for t in args.center.split(","))
     center = AnnulusPoint(cx, cy)
     try:
-        rep = example_local_perturbation(
-            args.a, center, args.radius, args.c,
-            q_max=args.q_max, workers=_workers(args.workers),
-        )
+        rep = example_local_perturbation(args.a, center, args.radius, args.c, q_max=args.q_max)
     except DegenerateGapError as e:
         print(f"DegenerateGap: {e}")
         return EXIT_INCONCLUSIVE
@@ -683,14 +669,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--p", type=int, default=None, help="single winding (default: windowed)")
     sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=None)
+    sp.add_argument("--workers", type=int, default=None,
+                    help="ignored: the census is one batched run in this process")
     sp.add_argument("--out", help="write orbit CSV here")
     sp.set_defaults(func=cmd_orbits)
 
     sp = sub.add_parser("verify", help="full theorem verification from a config file")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out-dir", default=None)
-    sp.add_argument("--workers", type=int, default=None)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("example41", help="local-perturbation pipeline")
@@ -700,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=float, required=True, help="chart rotation at the center (radians)")
     sp.add_argument("--q-max", type=int, default=None)
     sp.add_argument("--out-dir", default=None)
-    sp.add_argument("--workers", type=int, default=None)
     sp.set_defaults(func=cmd_example41)
 
     sp = sub.add_parser("audit", help="property suites")

@@ -11,7 +11,7 @@ theorem, so absence of orbits in a finite search never refutes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -175,17 +175,15 @@ def _action_range(m: MapExpr, ctx: ActionContext, n: int = 192) -> tuple[float, 
     return float(np.min(vals)), float(np.max(vals))
 
 
-def _census_for_q(m: MapExpr, q: int, ps: list[int], cfg: SearchConfig,
-                  workers: int) -> tuple[list[WindingCensus], int]:
+def _census_for_q(m: MapExpr, q: int, ps: list[int],
+                  cfg: SearchConfig) -> tuple[list[WindingCensus], int]:
     """Union of windowed searches, one Newton run over all windings per grid,
     doubling the seed lattice until at least two distinct orbits appear or the
     density cap is reached."""
-    from dataclasses import replace
-
     grid = cfg.grid
     while True:
         run_cfg = replace(cfg, grid=grid)
-        orbits = find_periodic_orbits(m, q, ps, run_cfg, workers=workers)
+        orbits = find_periodic_orbits(m, q, ps, run_cfg)
         censuses = [WindingCensus(p, tuple(o for o in orbits if o.p == p)) for p in ps]
         total = sum(len(c.orbits) for c in censuses)
         if total >= 2 or grid >= cfg.max_grid:
@@ -195,8 +193,7 @@ def _census_for_q(m: MapExpr, q: int, ps: list[int], cfg: SearchConfig,
 
 def verify_theorem(m: MapExpr, mu1: MeasureSpec, mu2: MeasureSpec, q_max: int,
                    cfg: SearchConfig | None = None,
-                   ctx: ActionContext | None = None,
-                   workers: int = 1) -> VerificationReport:
+                   ctx: ActionContext | None = None) -> VerificationReport:
     """Empirically test the orbit-count prediction of a positive action gap.
 
     For each q from the threshold to q_max, search every candidate winding and
@@ -246,7 +243,7 @@ def verify_theorem(m: MapExpr, mu1: MeasureSpec, mu2: MeasureSpec, q_max: int,
     results = []
     for q in range(q_thr, q_max + 1):
         ps = candidate_windings(m, q)
-        censuses, grid_used = _census_for_q(m, q, ps, cfg, workers)
+        censuses, grid_used = _census_for_q(m, q, ps, cfg)
         all_orbits = [o for c in censuses for o in c.orbits]
         distinct = len(all_orbits)
         q_notes: list[str] = []
@@ -312,8 +309,7 @@ def local_perturbation_map(a: float, center: AnnulusPoint, R: float, c: float) -
 
 def example_local_perturbation(a: float, center: AnnulusPoint, R: float, c: float,
                                q_max: int | None = None,
-                               cfg: SearchConfig | None = None,
-                               workers: int = 1) -> VerificationReport:
+                               cfg: SearchConfig | None = None) -> VerificationReport:
     """The local-perturbation pipeline: compose an irrational rigid rotation
     with a compactly supported disk twist, confirm that the mean action of the
     composite equals the twist's (the rotation contributes none) and that the
@@ -355,5 +351,4 @@ def example_local_perturbation(a: float, center: AnnulusPoint, R: float, c: floa
         q_max=q_max,
         cfg=cfg,
         ctx=ctx,
-        workers=workers,
     )

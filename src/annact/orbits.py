@@ -43,7 +43,7 @@ class SearchConfig:
     max_backtracks: int = 8
 
     def __post_init__(self):
-        if min(self.grid, self.newton_max_steps, self.max_grid) <= 0:
+        if min(self.grid, self.newton_max_steps, self.max_grid, self.max_backtracks) <= 0:
             raise ValueError("grid and step counts must be positive")
         if not (0 < self.newton_damping < 1):
             raise ValueError("damping factor must lie in (0, 1)")
@@ -290,13 +290,13 @@ def find_periodic_orbits(m: MapExpr, q: int, p: int | Sequence[int],
     """Multi-start damped Newton census of type-(q, p) orbits.
 
     p is one winding or a sequence of windings. The seed lattice is tiled
-    once per winding and one Newton run polishes all the rows together, in
-    deterministic batches (worker partitioning never changes the set of seeds
-    or the merge order). Each winding's converged solutions are then
-    canonicalised as arrays, certified at residual < 1e-9 and deduplicated
-    with the cyclic/deck-translation metric, and one orbit is built per
-    distinct solution, in canonical order. The orbits of all windings come
-    back as one list in the given p order; each carries its own p.
+    once per winding and one Newton run polishes all the rows together. Each
+    winding's converged solutions are then canonicalised as arrays, certified
+    at residual < 1e-9 and deduplicated with the cyclic/deck-translation
+    metric, and one orbit is built per distinct solution, in canonical order.
+    The orbits of all windings come back as one list in the given p order;
+    each carries its own p. workers is accepted and ignored: the census is
+    one batched run in this process.
     """
     if q < 1:
         raise ValueError("period must be a positive integer")
@@ -304,10 +304,7 @@ def find_periodic_orbits(m: MapExpr, q: int, p: int | Sequence[int],
     ps = list(p) if np.ndim(p) else [p]
     lattice = _seed_lattice(cfg.grid, cfg.boundary_margin)
     seeds = np.tile(lattice, (len(ps), 1))
-    windings = np.repeat(ps, len(lattice))
-    chunks = np.array_split(np.arange(len(seeds)), max(1, int(workers)))
-    polished = [_newton_polish(m, q, windings[c], seeds[c], cfg) for c in chunks]
-    sols, sol_p = map(np.concatenate, zip(*polished))
+    sols, sol_p = _newton_polish(m, q, np.repeat(ps, len(lattice)), seeds, cfg)
     return [o for w in ps for o in _orbits_from_solutions(m, q, w, sols[sol_p == w], cfg)]
 
 
