@@ -20,12 +20,18 @@ iterates that pass along orbits; the action function of a tree
 (action.action_values_raw) and the mean-action quadrature
 (quadrature.tree_field_integral) walk the same leaves.
 
-All evaluation routines are vectorized over numpy arrays; the AnnulusPoint /
-LiftedPoint wrappers are thin scalar front ends.
+step, apply_lift and the routines built on them are vectorized over numpy
+arrays. One point has its own pass: each leaf's step_point(xt, y) repeats
+step's operations on Python floats, and apply_point runs it over leaves().
+It rounds exactly as step does on scalars (0-d arrays), at a fraction of
+numpy's per-call cost. Scalar-start orbit_arrays, eval_map, eval_lift and
+boundary_displacement take it; array starts keep the array pass, which numpy
+may round differently in the last bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,6 +50,8 @@ class TwistProfile:
 
     potential(y) is the integral of s * phi'(s) over [0, y]; it is the action
     function of the twist with beta = y dx and base point on the lower boundary.
+    A closed-form phi is one expression for floats and float arrays, so the
+    point pass and the array pass evaluate the same formula.
     """
 
     def phi(self, y):
@@ -66,7 +74,7 @@ class LinearProfile(TwistProfile):
     """phi(y) = y: the integrable linear twist."""
 
     def phi(self, y):
-        return np.asarray(y, dtype=float)
+        return y
 
     def dphi(self, y):
         return np.ones_like(np.asarray(y, dtype=float))
@@ -93,7 +101,6 @@ class PolyBumpProfile(TwistProfile):
         self.c = float(c)
 
     def phi(self, y):
-        y = np.asarray(y, dtype=float)
         return 16.0 * self.c * (y * (1.0 - y)) ** 2
 
     def dphi(self, y):
@@ -183,7 +190,8 @@ class RadialProfile:
     action_radial(r) is (1/2) * integral of s^2 phi'(s) over [r, R]: the
     rotation-invariant part of the twist's action function in its chart, zero
     at the support edge. With the annulus orientation omega = dy ^ dx it is
-    nonpositive for phi >= 0, phi' <= 0.
+    nonpositive for phi >= 0, phi' <= 0. A closed-form phi takes floats as
+    well as float arrays, as TwistProfile.phi does.
     """
 
     R: float
@@ -231,7 +239,6 @@ class PolyBumpRadial(RadialProfile):
         self.R = float(R)
 
     def phi(self, r):
-        r = np.asarray(r, dtype=float)
         t = 1.0 - (r / self.R) ** 2
         return self.c * t * t
 
@@ -336,6 +343,13 @@ class MapExpr:
         (xt', y', D) with D of shape (..., 2, 2), or None for the identity."""
         raise NotImplementedError
 
+    def step_point(self, xt: float, y: float) -> tuple[float, float]:
+        """One leaf's lift at one point in Python floats, bit-identical to
+        step() on scalars. Leaves override it with math-module arithmetic;
+        this default rounds the same because it is step() itself."""
+        xt1, y1, _ = self.step(xt, y)
+        return float(xt1), float(y1)
+
     def action(self, xt, y):
         """One leaf's closed-form action function g, dg = f*beta - beta with
         beta = y dx, normalized to vanish on the lower boundary."""
@@ -354,6 +368,14 @@ class MapExpr:
         """Vectorized lift evaluation: arrays (xt, y) -> (xt', y')."""
         for leaf in self.leaves():
             xt, y, _ = leaf.step(xt, y)
+        return xt, y
+
+    def apply_point(self, xt: float, y: float) -> tuple[float, float]:
+        """Lift of one point in Python floats: the point pass over leaves(),
+        bit-identical to apply_lift on scalars."""
+        xt, y = float(xt), float(y)
+        for leaf in self.leaves():
+            xt, y = leaf.step_point(xt, y)
         return xt, y
 
     def lift_with_jacobian(self, xt, y):
@@ -384,7 +406,7 @@ class MapExpr:
         rigidly, so the displacement is the same from every boundary point."""
         if which not in ("lower", "upper"):
             raise ValueError("boundary selector must be 'lower' or 'upper'")
-        return float(self.apply_lift(0.0, 0.0 if which == "lower" else 1.0)[0])
+        return self.apply_point(0.0, 0.0 if which == "lower" else 1.0)[0]
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -415,6 +437,9 @@ class RigidRotation(MapExpr):
     def step(self, xt, y, with_jacobian=False):
         return np.asarray(xt, dtype=float) + self.a, np.asarray(y, dtype=float), None
 
+    def step_point(self, xt, y):
+        return xt + self.a, y
+
     def action(self, xt, y):
         # a rotation pulls beta back to itself
         return np.zeros(np.broadcast_shapes(np.shape(xt), np.shape(y)))
@@ -444,6 +469,10 @@ class Twist(MapExpr):
         d = _identity(np.broadcast_shapes(np.shape(xt), y.shape))
         d[..., 0, 1] = self.profile.dphi(y)
         return xt, y, d
+
+    def step_point(self, xt, y):
+        # closed-form profiles return a float here; float() unwraps a spline's 0-d array
+        return xt + float(self.profile.phi(y)), y
 
     def action(self, xt, y):
         return self.profile.potential(y)
@@ -519,6 +548,19 @@ class LocalDiskTwist(MapExpr):
         d[..., 1, 0] = np.where(inside, sa + k * gv * u, 0.0)
         d[..., 1, 1] = np.where(inside, ca + k * gv * v, 1.0)
         return xt1, y1, d
+
+    def step_point(self, xt, y):
+        # step()'s operations in the same order; np.hypot is kept because
+        # math.hypot rounds differently on some offsets
+        u = (xt - self.center.x + 0.5) % 1.0 - 0.5
+        v = y - self.center.y
+        r = float(np.hypot(u, v))
+        if not r < self.radius:
+            return xt + 0.0, y + 0.0
+        ang = float(self.profile.phi(r))
+        ca = math.cos(ang)
+        sa = math.sin(ang)
+        return xt + (u * ca - v * sa - u), y + (u * sa + v * ca - v)
 
     def action(self, xt, y):
         # the rotation-invariant radial part plus the exact correction
@@ -618,14 +660,13 @@ def compose_chain(factors: Iterable[MapExpr]) -> MapExpr | None:
 # ---------------------------------------------------------------------------
 
 def eval_map(m: MapExpr, p: AnnulusPoint) -> AnnulusPoint:
-    xt, y = m.apply_lift(p.x, p.y)
-    frac, _ = wrap_turn(float(xt))
-    return AnnulusPoint(frac, float(y))
+    xt, y = m.apply_point(p.x, p.y)
+    frac, _ = wrap_turn(xt)
+    return AnnulusPoint(frac, y)
 
 
 def eval_lift(m: MapExpr, p: LiftedPoint) -> LiftedPoint:
-    xt, y = m.apply_lift(p.xt, p.y)
-    return LiftedPoint(float(xt), float(y))
+    return LiftedPoint(*m.apply_point(p.xt, p.y))
 
 
 def differential(m: MapExpr, p: AnnulusPoint) -> np.ndarray:
@@ -636,14 +677,25 @@ def orbit_arrays(m: MapExpr, x, y, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Lifted orbit z_0 .. z_{n-1} of (x, y) under m, as arrays xs, ys of
     shape (n,) + the broadcast shape of x and y.
 
-    Scalar starts step one point at a time, array starts step all points at
-    once; numpy may round the two paths differently in the last bit.
+    A scalar start takes the point pass (apply_point, each leaf's step_point
+    on Python floats), bit-identical to stepping the point through numpy one
+    0-d array at a time. Array starts step all points at once through each
+    leaf's step; numpy may round that path differently in the last bit.
     """
     xt = np.asarray(x, dtype=float)
     yy = np.asarray(y, dtype=float)
     shape = (n,) + np.broadcast_shapes(xt.shape, yy.shape)
     xs = np.empty(shape)
     ys = np.empty(shape)
+    if not shape[1:]:
+        px, py = float(xt), float(yy)
+        point = m.apply_point
+        for j in range(n):
+            if j:
+                px, py = point(px, py)
+            xs[j] = px
+            ys[j] = py
+        return xs, ys
     leaves = m.leaves()
     for j in range(n):
         if j:

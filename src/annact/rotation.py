@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import ActionContext, MeasureSpec, birkhoff_average, measure_action
-from .maps import MapExpr, RigidRotation, Twist, boundary_circle_map, eval_map, orbit_arrays
+from .maps import MapExpr, RigidRotation, Twist, boundary_circle_map, orbit_arrays
 from .phase_space import AnnulusPoint
 from .quadrature import displacement_descriptor, tree_field_integral
+from .util import wrap_turn
 
 ROTATION_TOL = 1e-6
 
@@ -47,11 +48,10 @@ def _closed_form_point_rotation(m: MapExpr, p: AnnulusPoint) -> RotationValue | 
         return RotationValue(m.a, 0.0, exact=True)
     if isinstance(m, Twist):
         return RotationValue(float(m.profile.phi(p.y)), 0.0, exact=True)
-    q = eval_map(m, p)
-    if q.x == p.x and q.y == p.y:
+    xt1, y1 = m.apply_point(p.x, p.y)
+    if wrap_turn(xt1)[0] == p.x and y1 == p.y:
         # a fixed point advances by an exact integer per step
-        xt2, _ = m.apply_lift(p.x, p.y)
-        return RotationValue(float(np.round(xt2 - p.x)), 0.0, exact=True)
+        return RotationValue(float(np.round(xt1 - p.x)), 0.0, exact=True)
     return None
 
 

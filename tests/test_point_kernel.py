@@ -1,0 +1,148 @@
+"""The one-point kernel: each leaf's step_point steps one point in Python
+floats and must round exactly as its numpy step does on scalars, so that
+scalar-start orbits keep every bit while skipping numpy's per-call cost."""
+
+import struct
+
+import numpy as np
+import pytest
+
+from annact.maps import (
+    AnnulusPoint,
+    Compose,
+    LinearProfile,
+    LocalDiskTwist,
+    MapExpr,
+    PolyBumpProfile,
+    PolyBumpRadial,
+    RigidRotation,
+    TabulatedProfile,
+    TabulatedRadial,
+    Twist,
+    orbit_arrays,
+    random_composition,
+)
+
+from conftest import BUMP_C, BUMP_R, GOLDEN
+
+# R = 1/4 is exact, so points at r = R can be written down exactly
+R = 0.25
+RS = np.linspace(0.0, R, 9)
+YS = np.linspace(0.0, 1.0, 9)
+
+
+def _disks(profile):
+    # centre x = 0 puts the chart disk across the x-wrap
+    return [LocalDiskTwist(AnnulusPoint(cx, 0.5), R, profile) for cx in (0.5, 0.0)]
+
+
+LEAVES = {
+    "rigid": [RigidRotation(GOLDEN)],
+    "twist-linear": [Twist(LinearProfile())],
+    "twist-poly-bump": [Twist(PolyBumpProfile(0.7))],
+    "twist-tabulated": [Twist(TabulatedProfile(YS, np.sin(np.pi * YS) ** 2))],
+    "twist-negated": [Twist(PolyBumpProfile(0.7).negated()), Twist(LinearProfile().negated())],
+    "disk-poly-bump": _disks(PolyBumpRadial(BUMP_C, R)),
+    "disk-tabulated": _disks(TabulatedRadial(RS, 6.0 * (1.0 - (RS / R) ** 2) ** 2)),
+    "disk-negated": _disks(PolyBumpRadial(BUMP_C, R).negated())
+    + _disks(TabulatedRadial(RS, 6.0 * (1.0 - (RS / R) ** 2) ** 2).negated()),
+}
+
+
+def _points(rng):
+    """Random lifted points, boundary points, points on the circle r = R of
+    both disk centres (lifted by whole turns) and points at the x-wrap."""
+    pts = [(float(x), float(y)) for x, y in rng.uniform((-2.0, 0.0), (3.0, 1.0), (400, 2))]
+    pts += [(0.3, 0.0), (0.3, 1.0), (-0.0, 0.5), (0.0, 0.5), (1.0, 0.5), (-1.0, 0.5)]
+    for shift in (0.0, 1.0, -2.0):
+        pts += [(shift + x, y) for x, y in
+                [(0.75, 0.5), (0.25, 0.5), (0.5, 0.75), (0.5, 0.25), (-0.25, 0.5), (0.0, 0.75)]]
+    # just inside and just outside the wrap of the disk centred at x = 0
+    pts += [(0.999999, 0.5), (0.5 + 1e-12, 0.6), (0.5 - 1e-12, 0.4), (0.9, 0.45), (0.1, 0.55)]
+    return pts
+
+
+def _bits(v):
+    return struct.pack("<d", float(v))
+
+
+@pytest.mark.parametrize("kind", sorted(LEAVES))
+def test_step_point_equals_step_bit_for_bit(kind, rng):
+    pts = _points(rng)
+    for leaf in LEAVES[kind]:
+        inside = outside = 0
+        for xt, y in pts:
+            got = leaf.step_point(xt, y)
+            want_xt, want_y, _ = leaf.step(xt, y)
+            assert type(got[0]) is float and type(got[1]) is float
+            assert (_bits(got[0]), _bits(got[1])) == (_bits(want_xt), _bits(want_y)), (leaf, xt, y)
+            if isinstance(leaf, LocalDiskTwist):
+                if float(np.hypot(*leaf.chart_offsets(xt, y))) < R:
+                    inside += 1
+                else:
+                    outside += 1
+        if isinstance(leaf, LocalDiskTwist):
+            assert inside > 20 and outside > 20
+
+
+def test_step_point_default_is_float_of_step():
+    class Shear(MapExpr):
+        def step(self, xt, y, with_jacobian=False):
+            return np.asarray(xt, dtype=float) + 0.1 * np.sin(np.asarray(y, dtype=float)), y, None
+
+    got = Shear().step_point(0.25, 0.5)
+    assert got == (float(0.25 + 0.1 * np.sin(0.5)), 0.5)
+    assert type(got[0]) is float and type(got[1]) is float
+
+
+def _numpy_point_orbit(m, x, y, n):
+    """Oracle: the one-point numpy loop, each leaf's step on 0-d arrays."""
+    xt = np.asarray(x, dtype=float)
+    yy = np.asarray(y, dtype=float)
+    xs = np.empty(n)
+    ys = np.empty(n)
+    leaves = m.leaves()
+    for j in range(n):
+        if j:
+            for leaf in leaves:
+                xt, yy, _ = leaf.step(xt, yy)
+        xs[j] = xt
+        ys[j] = yy
+    return xs, ys
+
+
+def _assert_orbit_matches_oracle(m, x, y, n):
+    xs, ys = orbit_arrays(m, x, y, n)
+    want_xs, want_ys = _numpy_point_orbit(m, x, y, n)
+    assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
+    assert m.apply_point(x, y) == (xs[1], ys[1])
+
+
+@pytest.mark.parametrize("c", [BUMP_C, 1.0])
+def test_scalar_orbit_matches_numpy_point_loop(c):
+    # the README map and the weak bump
+    m = Compose(RigidRotation(GOLDEN), LocalDiskTwist.poly_bump(AnnulusPoint(0.5, 0.5), BUMP_R, c))
+    _assert_orbit_matches_oracle(m, 0.3, 0.55, 20_000)
+
+
+def test_scalar_orbit_matches_numpy_point_loop_on_random_maps(rng):
+    for _ in range(24):
+        m = random_composition(rng, max_leaves=4)
+        x0, y0 = rng.uniform((0.0, 0.0), (1.0, 1.0))
+        _assert_orbit_matches_oracle(m, float(x0), float(y0), 2_000)
+
+
+def test_scalar_start_makes_no_numpy_step(monkeypatch, perturbed_rotation):
+    calls = []
+    for cls in (RigidRotation, Twist, LocalDiskTwist):
+        def counted(self, xt, y, with_jacobian=False, _step=cls.step):
+            calls.append(self)
+            return _step(self, xt, y, with_jacobian)
+
+        monkeypatch.setattr(cls, "step", counted)
+    m = Compose(Twist(PolyBumpProfile(0.7)), perturbed_rotation)
+    orbit_arrays(m, 0.3, 0.55, 50)
+    orbit_arrays(m, np.float64(0.3), np.asarray(0.55), 50)
+    assert calls == []
+    orbit_arrays(m, np.array([0.3, 0.6]), 0.55, 50)
+    assert len(calls) == 49 * 3
