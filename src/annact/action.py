@@ -197,6 +197,19 @@ def _bump_stage_margins(m: MapExpr, xt, y):
     return margins
 
 
+def _point_stage_margin(m: MapExpr, xt: float, y: float, stage: int) -> float:
+    """The stage-th margin of _bump_stage_margins at one point, with the
+    factor orbit stepped on the point pass (step_point rounds as step does)."""
+    for leaf in m.leaves():
+        margin = leaf.kink_margin(xt, y)
+        if margin is not None:
+            if stage == 0:
+                return float(margin)
+            stage -= 1
+        xt, y = leaf.step_point(xt, y)
+    raise IndexError("no such kink stage")
+
+
 def _segment_breakpoints(m: MapExpr, a: LiftedPoint, b: LiftedPoint,
                          scan: int = 512) -> list[float]:
     """Parameter values in (0, 1) where the segment a->b crosses the support
@@ -213,7 +226,7 @@ def _segment_breakpoints(m: MapExpr, a: LiftedPoint, b: LiftedPoint,
             def margin(t, stage=stage):
                 x = a.xt + t * dx
                 y = min(max(a.y + t * dy, 0.0), 1.0)
-                return float(_bump_stage_margins(m, x, y)[stage])
+                return _point_stage_margin(m, float(x), float(y), stage)
 
             flo = margin(lo)
             for _ in range(60):

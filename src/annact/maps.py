@@ -27,6 +27,13 @@ It rounds exactly as step does on scalars (0-d arrays), at a fraction of
 numpy's per-call cost. Scalar-start orbit_arrays, eval_map, eval_lift and
 boundary_displacement take it; array starts keep the array pass, which numpy
 may round differently in the last bit.
+
+A disk twist is the identity off its support, so its array pass works on the
+support rows only: it gathers the rows inside the chart disk, rotates them
+and scatters them into the unchanged rest, with the bits of a pass over every
+row. 0-d inputs keep the pass over every point instead, because gathering
+would turn them into 1-element arrays, and numpy squares arrays by a multiply
+but one float by libm pow, which may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -430,6 +437,10 @@ def _identity(shape) -> np.ndarray:
     return out
 
 
+# (row, column) of the differential entries in the order leaves return them
+_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 class RigidRotation(MapExpr):
     def __init__(self, a: float):
         self.a = float(a)
@@ -497,6 +508,13 @@ class LocalDiskTwist(MapExpr):
     The chart uses euclidean offsets (u, v) = (x - cx wrapped, y - cy), which
     is isometric because x is measured in turns. R < min(cy, 1 - cy) <= 1/2
     keeps the disk inside the annulus and away from x-wraparound.
+
+    On arrays, step computes offsets on every row but the radius, rotation
+    and differential on the support rows only (those with r < R); every other
+    row keeps its point and gets the identity differential. 0-d inputs go
+    through the same arithmetic on every point, as action does: numpy rounds
+    one float's ** 2 (libm pow) apart from an array's (a multiply), so a
+    gathered 1-element array could move phi by an ulp.
     """
 
     def __init__(self, center: AnnulusPoint, radius: float, profile: RadialProfile):
@@ -516,37 +534,85 @@ class LocalDiskTwist(MapExpr):
         return LocalDiskTwist(center, radius, PolyBumpRadial(c, radius))
 
     def chart_offsets(self, xt, y):
-        """Chart offsets (u, v), with u the signed x-offset reduced to [-0.5, 0.5)."""
-        u = (np.asarray(xt, dtype=float) - self.center.x + 0.5) % 1.0 - 0.5
+        """Chart offsets (u, v), with u the signed x-offset reduced to [-0.5, 0.5).
+
+        w - floor(w) is the same float as w % 1.0 (floor is exact, and both
+        round w + n once), without the sign fix-ups of float modulo."""
+        w = np.asarray(xt, dtype=float) - self.center.x + 0.5
+        u = w - np.floor(w) - 0.5
         v = np.asarray(y, dtype=float) - self.center.y
         return u, v
 
-    def _chart_rotation(self, xt, y):
-        """Chart offsets (u, v), the radius clipped to the support, the inside
-        mask and cos, sin of the rotation angle phi."""
+    def _rotate(self, u, v, r, with_jacobian=False):
+        """The chart rotation at offsets (u, v) of radius r <= R: the rotated
+        offsets (u', v') and, when asked, the entries (d00, d01, d10, d11) of
+        D = Rot(phi) + (phi'/r) (Rot'(phi) w) w^T, w = (u, v)."""
+        ang = self.profile.phi(r)
+        ca = np.cos(ang)
+        sa = np.sin(ang)
+        u1 = u * ca - v * sa
+        v1 = u * sa + v * ca
+        if not with_jacobian:
+            return u1, v1, None
+        k = self.profile.dphi_over_r(r)
+        gu = -sa * u - ca * v
+        gv = ca * u - sa * v
+        return u1, v1, (ca + k * gu * u, -sa + k * gu * v, sa + k * gv * u, ca + k * gv * v)
+
+    def _chart_rotation(self, xt, y, with_jacobian=False):
+        """_rotate over every point, with the radius clipped to the support:
+        offsets (u, v), clipped radius, inside mask, rotated offsets, D entries."""
         u, v = self.chart_offsets(xt, y)
         r = np.hypot(u, v)
         rc = np.minimum(r, self.radius)
-        ang = self.profile.phi(rc)
-        return u, v, rc, r < self.radius, np.cos(ang), np.sin(ang)
+        return (u, v, rc, r < self.radius) + self._rotate(u, v, rc, with_jacobian)
 
     def step(self, xt, y, with_jacobian=False):
         xt = np.asarray(xt, dtype=float)
         y = np.asarray(y, dtype=float)
-        u, v, rc, inside, ca, sa = self._chart_rotation(xt, y)
-        xt1 = xt + np.where(inside, u * ca - v * sa - u, 0.0)
-        y1 = y + np.where(inside, u * sa + v * ca - v, 0.0)
+        if xt.ndim == 0 and y.ndim == 0:
+            return self._step_scalar(xt, y, with_jacobian)
+        # u^2 + v^2 screens for the support rows and hypot decides on those,
+        # so every row is inside exactly when hypot(u, v) < R
+        shape = xt.shape
+        if y.shape != shape:
+            shape = np.broadcast_shapes(shape, y.shape)
+            xt, y = np.broadcast_to(xt, shape), np.broadcast_to(y, shape)
+        xt = xt.ravel()
+        y = y.ravel()
+        u, v = self.chart_offsets(xt, y)
+        R = self.radius
+        rows = (u * u + v * v < R * R * (1.0 + 1e-9)).nonzero()[0]
+        u = u.take(rows)
+        v = v.take(rows)
+        r = np.hypot(u, v)
+        keep = (r < R).nonzero()[0]
+        if keep.size < rows.size:
+            rows, u, v, r = rows.take(keep), u.take(keep), v.take(keep), r.take(keep)
+        xt1 = xt + 0.0
+        y1 = y + 0.0
+        d = _identity((xt.size,)) if with_jacobian else None
+        if rows.size:
+            u1, v1, dents = self._rotate(u, v, r, with_jacobian)
+            xt1[rows] = xt.take(rows) + (u1 - u)
+            y1[rows] = y.take(rows) + (v1 - v)
+            if with_jacobian:
+                for (i, j), entry in zip(_ENTRIES, dents):
+                    d[rows, i, j] = entry
+        if with_jacobian:
+            d = d.reshape(shape + (2, 2))
+        return xt1.reshape(shape), y1.reshape(shape), d
+
+    def _step_scalar(self, xt, y, with_jacobian):
+        """step at one point: the arithmetic of every row, masked by np.where."""
+        u, v, rc, inside, u1, v1, dents = self._chart_rotation(xt, y, with_jacobian)
+        xt1 = xt + np.where(inside, u1 - u, 0.0)
+        y1 = y + np.where(inside, v1 - v, 0.0)
         if not with_jacobian:
             return xt1, y1, None
-        # D = Rot(phi) + (phi'/r) (Rot'(phi) w) w^T, w = (u, v)
-        k = self.profile.dphi_over_r(rc)
-        gu = -sa * u - ca * v
-        gv = ca * u - sa * v
-        d = np.empty(np.shape(rc) + (2, 2))
-        d[..., 0, 0] = np.where(inside, ca + k * gu * u, 1.0)
-        d[..., 0, 1] = np.where(inside, -sa + k * gu * v, 0.0)
-        d[..., 1, 0] = np.where(inside, sa + k * gv * u, 0.0)
-        d[..., 1, 1] = np.where(inside, ca + k * gv * v, 1.0)
+        d = np.empty((2, 2))
+        for (i, j), entry in zip(_ENTRIES, dents):
+            d[i, j] = np.where(inside, entry, float(i == j))
         return xt1, y1, d
 
     def step_point(self, xt, y):
@@ -565,10 +631,8 @@ class LocalDiskTwist(MapExpr):
     def action(self, xt, y):
         # the rotation-invariant radial part plus the exact correction
         # S o h - S, with S = u (v/2 + cy) the chart potential of beta - beta_polar
-        u, v, rc, inside, ca, sa = self._chart_rotation(xt, y)
+        u, v, rc, inside, u1, v1, _ = self._chart_rotation(xt, y)
         cy = self.center.y
-        u1 = u * ca - v * sa
-        v1 = u * sa + v * ca
         s_before = u * (0.5 * v + cy)
         s_after = u1 * (0.5 * v1 + cy)
         return np.where(inside, self.profile.action_radial(rc) + s_after - s_before, 0.0)

@@ -187,7 +187,11 @@ def _cyclic_distance(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     idx = np.arange(q)[:, None] + np.arange(q)  # [shift, j] -> j + shift
     rolled = b[..., idx % q, :]
     dx = a[..., None, :, 0] - (rolled[..., 0] + p * (idx // q))
-    k = np.round(np.median(dx, axis=-1, keepdims=True))
+    # the median over the points, as np.median gives it for finite dx
+    s = np.sort(dx, axis=-1)
+    h = q // 2
+    mid = s[..., h:h + 1] if q % 2 else (s[..., h - 1:h] + s[..., h:h + 1]) / 2.0
+    k = np.round(mid)
     dy = np.abs(a[..., None, :, 1] - rolled[..., 1]).max(axis=-1)
     return np.maximum(np.abs(dx - k).max(axis=-1), dy).min(axis=-1)
 
