@@ -40,6 +40,8 @@ from .util import integrate_path_parameter, pairwise_sum
 
 BIRKHOFF_N_ITER = 1_000_000
 BIRKHOFF_TOL = 1e-6
+# largest |F^q(z) - z - (p, 0)| at which a periodic orbit counts as certified
+CERTIFIED_RESIDUAL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,9 @@ class MeasureSpec:
         if self.variant == "orbit":
             if self.orbit is None or not getattr(self.orbit, "points", None):
                 raise ValueError("orbit measure needs a periodic orbit")
-            if getattr(self.orbit, "residual", np.inf) >= 1e-9:
-                raise ValueError("orbit measure requires a certified orbit (residual < 1e-9)")
+            if getattr(self.orbit, "residual", np.inf) >= CERTIFIED_RESIDUAL:
+                raise ValueError("orbit measure requires a certified orbit "
+                                 f"(residual < {CERTIFIED_RESIDUAL:g})")
         if self.variant == "empirical":
             if self.seed is None:
                 raise ValueError("empirical measure needs a seed point")

@@ -38,11 +38,9 @@ from .action import (
 from .errors import AnnactError, ConfigError, DegenerateGapError, NonConvergentError
 from .harness import (
     VerificationReport,
-    action_gap,
     candidate_windings,
     example_local_perturbation,
     local_perturbation_map,
-    q_threshold,
     verify_theorem,
 )
 from .maps import (
@@ -429,12 +427,15 @@ def write_verification_outputs(rep: VerificationReport, m: MapExpr, out_dir: str
     return written
 
 
-def _exit_code_for(rep: VerificationReport) -> int:
-    if rep.overall_verdict == "PASS":
-        return EXIT_OK
-    if rep.overall_verdict == "FAIL":
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+def _report_and_exit(rep: VerificationReport, m: MapExpr, out_dir: str | None,
+                     prefix: str) -> int:
+    """Write the four files when out_dir is set, print the report text and
+    return the exit code of its overall verdict."""
+    if out_dir:
+        for path in write_verification_outputs(rep, m, out_dir, prefix):
+            print(f"wrote {path}")
+    print(render_report_text(rep), end="")
+    return {"PASS": EXIT_OK, "FAIL": EXIT_FAIL}.get(rep.overall_verdict, EXIT_INCONCLUSIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -522,43 +523,18 @@ def cmd_verify(args) -> int:
     n_iter = task.get("n_iter", 100_000)
     mu1 = _measure_from_config(cfg["measures"]["mu1"], m, search, n_iter)
     mu2 = _measure_from_config(cfg["measures"]["mu2"], m, search, n_iter)
-    q_max = task.get("q_max")
-    try:
-        if q_max is None:
-            delta, _ = action_gap(m, mu1, mu2, ctx)
-            q_max = q_threshold(delta) + 2
-            if q_max > 66:
-                raise ConfigError(
-                    f"action gap {delta:.3e} puts the period threshold at {q_max - 2}; "
-                    "set task.q_max explicitly for a search this deep")
-        rep = verify_theorem(m, mu1, mu2, q_max=q_max, cfg=search, ctx=ctx)
-    except DegenerateGapError as e:
-        print(f"DegenerateGap: {e}")
-        return EXIT_INCONCLUSIVE
+    rep = verify_theorem(m, mu1, mu2, q_max=task.get("q_max"), cfg=search, ctx=ctx)
     out_cfg = cfg.get("output", {})
-    out_dir = args.out_dir or out_cfg.get("dir")
-    if out_dir:
-        prefix = out_cfg.get("prefix", "report")
-        for path in write_verification_outputs(rep, m, out_dir, prefix):
-            print(f"wrote {path}")
-    print(render_report_text(rep), end="")
-    return _exit_code_for(rep)
+    return _report_and_exit(rep, m, args.out_dir or out_cfg.get("dir"),
+                            out_cfg.get("prefix", "report"))
 
 
 def cmd_example41(args) -> int:
     cx, cy = (float(t) for t in args.center.split(","))
     center = AnnulusPoint(cx, cy)
-    try:
-        rep = example_local_perturbation(args.a, center, args.radius, args.c, q_max=args.q_max)
-    except DegenerateGapError as e:
-        print(f"DegenerateGap: {e}")
-        return EXIT_INCONCLUSIVE
-    if args.out_dir:
-        m = local_perturbation_map(args.a, center, args.radius, args.c)
-        for path in write_verification_outputs(rep, m, args.out_dir, "example41"):
-            print(f"wrote {path}")
-    print(render_report_text(rep), end="")
-    return _exit_code_for(rep)
+    rep = example_local_perturbation(args.a, center, args.radius, args.c, q_max=args.q_max)
+    m = local_perturbation_map(args.a, center, args.radius, args.c)
+    return _report_and_exit(rep, m, args.out_dir, "example41")
 
 
 # ---------------------------------------------------------------------------

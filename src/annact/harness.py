@@ -25,6 +25,8 @@ from .rotation import measure_rotation
 
 FAIL_NOTE = "search exhausted (not a counterexample)"
 GAP_ERROR_FACTOR = 10.0
+# deepest period a search derived from the gap alone may reach
+DERIVED_Q_MAX_CAP = 66
 
 
 def action_gap(m: MapExpr, mu1: MeasureSpec, mu2: MeasureSpec,
@@ -41,6 +43,16 @@ def q_threshold(delta: float) -> int:
     if not delta > 0:
         raise DegenerateGapError(f"action gap must be positive, got {delta}")
     return math.floor(1.0 / delta) + 1
+
+
+def derived_q_max(delta: float) -> int:
+    """Last period searched when none is given: the threshold plus two."""
+    q_max = q_threshold(delta) + 2
+    if q_max > DERIVED_Q_MAX_CAP:
+        raise ValueError(
+            f"action gap {delta:.3e} puts the period threshold at {q_max - 2}; "
+            f"give q_max (task.q_max or --q-max) to search past q = {DERIVED_Q_MAX_CAP}")
+    return q_max
 
 
 def candidate_windings(m: MapExpr, q: int) -> list[int]:
@@ -191,16 +203,18 @@ def _census_for_q(m: MapExpr, q: int, ps: list[int],
         grid = min(2 * grid, cfg.max_grid)
 
 
-def verify_theorem(m: MapExpr, mu1: MeasureSpec, mu2: MeasureSpec, q_max: int,
+def verify_theorem(m: MapExpr, mu1: MeasureSpec, mu2: MeasureSpec,
+                   q_max: int | None = None,
                    cfg: SearchConfig | None = None,
                    ctx: ActionContext | None = None) -> VerificationReport:
     """Empirically test the orbit-count prediction of a positive action gap.
 
     For each q from the threshold to q_max, search every candidate winding and
     demand at least two distinct certified orbits (with least period q when q
-    is prime). The per-q verdict is INCONCLUSIVE when the gap's own error bar
-    is too large or when a sanity guard trips; FAIL only records an exhausted
-    search.
+    is prime). Without q_max the range ends at derived_q_max(delta), taken
+    only after the gap passes its error-bar gate. The per-q verdict is
+    INCONCLUSIVE when the gap's own error bar is too large or when a sanity
+    guard trips; FAIL only records an exhausted search.
     """
     cfg = cfg or SearchConfig()
     ctx = ctx or ActionContext.default()
@@ -232,6 +246,8 @@ def verify_theorem(m: MapExpr, mu1: MeasureSpec, mu2: MeasureSpec, q_max: int,
         )
 
     q_thr = q_threshold(delta)
+    if q_max is None:
+        q_max = derived_q_max(delta)
     if q_max < q_thr:
         raise ValueError(f"q_max={q_max} is below the period threshold {q_thr}")
 
@@ -314,7 +330,14 @@ def example_local_perturbation(a: float, center: AnnulusPoint, R: float, c: floa
     with a compactly supported disk twist, confirm that the mean action of the
     composite equals the twist's (the rotation contributes none) and that the
     boundary actions stay zero, then verify the orbit predictions against the
-    (area, lower boundary) measure pair."""
+    (area, lower boundary) measure pair. q_max goes to verify_theorem as
+    given; without it verify_theorem derives the range itself, and the
+    rationality probe, which runs before any search, looks at denominators up
+    to derived_q_max of the twist's mean action (at least 8). That action
+    differs from the gap verify_theorem measures by the additivity defect
+    (at most 1e-8, checked below), so the two ranges agree unless 1/delta
+    lies that close to an integer. Like verify, a derived range past
+    DERIVED_Q_MAX_CAP is refused with a ValueError naming q_max."""
     perturbed = local_perturbation_map(a, center, R, c)
     rot, bump = perturbed.outer, perturbed.inner
     ctx = ActionContext.default()
@@ -325,7 +348,7 @@ def example_local_perturbation(a: float, center: AnnulusPoint, R: float, c: floa
     if abs(mean_bump.value) <= 0.0:
         raise DegenerateGapError("the local twist has zero mean action (c = 0?)")
 
-    probe_q = q_max if q_max is not None else max(8, q_threshold(abs(mean_bump.value)) + 2)
+    probe_q = q_max if q_max is not None else max(8, derived_q_max(abs(mean_bump.value)))
     frac = Fraction(a).limit_denominator(probe_q)
     if abs(a - float(frac)) < 1e-6:
         raise ValueError(
@@ -342,8 +365,6 @@ def example_local_perturbation(a: float, center: AnnulusPoint, R: float, c: floa
             raise NonConvergentError(
                 f"{which} action of the perturbed map is {bdry.value:.3e}, expected 0")
 
-    if q_max is None:
-        q_max = q_threshold(abs(mean_bump.value)) + 2
     return verify_theorem(
         perturbed,
         MeasureSpec.area(),

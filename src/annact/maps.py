@@ -743,28 +743,21 @@ def orbit_arrays(m: MapExpr, x, y, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     A scalar start takes the point pass (apply_point, each leaf's step_point
     on Python floats), bit-identical to stepping the point through numpy one
-    0-d array at a time. Array starts step all points at once through each
-    leaf's step; numpy may round that path differently in the last bit.
+    0-d array at a time. Array starts step all points at once through
+    apply_lift; numpy may round that path differently in the last bit.
     """
     xt = np.asarray(x, dtype=float)
     yy = np.asarray(y, dtype=float)
     shape = (n,) + np.broadcast_shapes(xt.shape, yy.shape)
     xs = np.empty(shape)
     ys = np.empty(shape)
-    if not shape[1:]:
-        px, py = float(xt), float(yy)
-        point = m.apply_point
-        for j in range(n):
-            if j:
-                px, py = point(px, py)
-            xs[j] = px
-            ys[j] = py
-        return xs, ys
-    leaves = m.leaves()
+    if shape[1:]:
+        step = m.apply_lift
+    else:
+        xt, yy, step = float(xt), float(yy), m.apply_point
     for j in range(n):
         if j:
-            for leaf in leaves:
-                xt, yy, _ = leaf.step(xt, yy)
+            xt, yy = step(xt, yy)
         xs[j] = xt
         ys[j] = yy
     return xs, ys

@@ -19,13 +19,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .action import ActionContext, MeasureSpec, action_function_values, measure_action
+from .action import (
+    CERTIFIED_RESIDUAL,
+    ActionContext,
+    MeasureSpec,
+    action_function_values,
+    measure_action,
+)
 from .errors import NonConvergentError
 from .maps import Iterate, MapExpr, orbit_arrays
 from .phase_space import LiftedPoint
 from .util import pairwise_sum
 
-CERTIFIED_RESIDUAL = 1e-9
+# rows of the return-map grid evaluated per batch in grid_scan_orbits
+SCAN_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -348,8 +355,7 @@ def orbit_action(m: MapExpr, ctx: ActionContext, orbit: PeriodicOrbit) -> float:
 
 def grid_scan_orbits(m: MapExpr, q: int, p: int, n: int = 2000,
                      capture_threshold: float = 5e-3,
-                     cfg: SearchConfig | None = None,
-                     chunk_rows: int = 64) -> list[PeriodicOrbit]:
+                     cfg: SearchConfig | None = None) -> list[PeriodicOrbit]:
     """Exhaustive return-map grid scan: evaluate |F^q(z) - z - (p, 0)| on an
     n x n grid, keep grid points under the capture threshold, polish each with
     Newton, certify and dedup. Independent seeding route used to cross-check the
@@ -359,8 +365,8 @@ def grid_scan_orbits(m: MapExpr, q: int, p: int, n: int = 2000,
     ys = (np.arange(n, dtype=float) + 0.5) / n
     fq = Iterate(m, q)
     candidates = []
-    for lo in range(0, n, chunk_rows):
-        band = ys[lo : lo + chunk_rows]
+    for lo in range(0, n, SCAN_CHUNK_ROWS):
+        band = ys[lo : lo + SCAN_CHUNK_ROWS]
         X, Y = np.meshgrid(xs, band, indexing="ij")
         xt, yy = fq.apply_lift(X, Y)
         hit = np.hypot(xt - X - p, yy - Y) < capture_threshold

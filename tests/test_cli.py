@@ -178,3 +178,80 @@ def test_schema_is_self_consistent(tmp_path):
     path = write_config(tmp_path, cfg)
     loaded = load_config(path)
     assert loaded["task"]["q_max"] == 6
+
+
+README_MAP = {
+    "variant": "compose",
+    "outer": {"variant": "rigid_rotation", "a": 0.6180339887},
+    "inner": {
+        "variant": "local_disk_twist",
+        "center": [0.5, 0.5],
+        "radius": 0.35,
+        "profile": {"kind": "poly_bump", "c": 50.85},
+    },
+}
+
+
+def test_verify_empirical_measure_without_q_max(tmp_path):
+    # the empirical action carries an error bar near 1e-2; the verdict comes
+    # from verify_theorem's error-bar gate, not from a strict Birkhoff pre-pass
+    cfg = {
+        "schema_version": 1,
+        "map": README_MAP,
+        "measures": {
+            "mu1": {"kind": "empirical", "seed": [0.3, 0.55], "n_iter": 20000},
+            "mu2": {"kind": "boundary_lower"},
+        },
+        "search": {"grid": 24},
+    }
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]) == EXIT_OK
+    for suffix in ("report.txt", "report.json", "report_orbits.csv", "report_plot.csv"):
+        assert (out / suffix).is_file()
+
+
+def test_verify_measures_each_action_once(tmp_path, monkeypatch):
+    import annact.harness as H
+
+    calls = []
+
+    def counted(*args, _measure=H.measure_action, **kwargs):
+        calls.append(args[2])
+        return _measure(*args, **kwargs)
+
+    monkeypatch.setattr(H, "measure_action", counted)
+    without_q_max = {k: v for k, v in TWIST_VERIFY.items() if k != "task"}
+    for cfg in (TWIST_VERIFY, without_q_max):
+        calls.clear()
+        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+        assert len(calls) == 2
+
+
+def test_verify_refuses_a_derived_range_past_the_cap(tmp_path, capsys):
+    # a weak bump: delta = pi c R^4 / 12 puts the threshold near q = 255
+    cfg = {
+        "schema_version": 1,
+        "map": dict(README_MAP, inner=dict(README_MAP["inner"],
+                                           profile={"kind": "poly_bump", "c": 1.0})),
+        "measures": {"mu1": {"kind": "area"}, "mu2": {"kind": "boundary_lower"}},
+    }
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == EXIT_USAGE
+    assert "q_max" in capsys.readouterr().err
+    assert main(["example41", "--a", "0.6180339887", "--radius", "0.35", "--c", "1"]) == EXIT_USAGE
+    assert "q_max" in capsys.readouterr().err
+
+
+def test_degenerate_gap_goes_to_stderr(tmp_path, capsys):
+    cfg = {
+        "schema_version": 1,
+        "map": {"variant": "rigid_rotation", "a": 0.6180339887},
+        "measures": {"mu1": {"kind": "boundary_upper"}, "mu2": {"kind": "boundary_lower"}},
+    }
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("DegenerateGap: ")
+    assert main(["example41", "--a", "0.6180339887", "--radius", "0.35", "--c", "0"]) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("DegenerateGap: ")

@@ -53,13 +53,11 @@ def test_candidate_windings(linear_twist):
 
 
 def test_verify_theorem_twist(linear_twist):
-    rep = verify_theorem(
-        linear_twist,
-        MeasureSpec("boundary_upper", n_iter=5000),
-        MeasureSpec("boundary_lower", n_iter=5000),
-        q_max=5,
-        cfg=SearchConfig(grid=16),
-    )
+    mu1 = MeasureSpec("boundary_upper", n_iter=5000)
+    mu2 = MeasureSpec("boundary_lower", n_iter=5000)
+    rep = verify_theorem(linear_twist, mu1, mu2, q_max=5, cfg=SearchConfig(grid=16))
+    # without q_max the range ends at the threshold + 2, here the same 5
+    assert verify_theorem(linear_twist, mu1, mu2, cfg=SearchConfig(grid=16)) == rep
     assert rep.q_threshold == 3
     assert rep.overall_verdict == "PASS"
     assert [r.q for r in rep.results] == [3, 4, 5]
