@@ -16,13 +16,13 @@ non-convergent, 3 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from .action import (
@@ -286,9 +286,15 @@ CONFIG_SCHEMA = {
 }
 
 
-# CONFIG_SCHEMA is a constant, so it is checked once by a test rather than on
-# every load, as jsonschema.validate would
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+@functools.cache
+def _config_validator():
+    """The CONFIG_SCHEMA validator, built on the first load so that importing
+    the CLI does not import jsonschema. CONFIG_SCHEMA is a constant, so it is
+    checked once by a test rather than on every load, as
+    jsonschema.validate would."""
+    import jsonschema
+
+    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def load_config(path: str) -> dict:
@@ -300,7 +306,9 @@ def load_config(path: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: line {e.lineno} col {e.colno}: {e.msg}") from e
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_config_validator().iter_errors(cfg))
     if error is not None:
         loc = "/".join(str(x) for x in error.absolute_path) or "<root>"
         raise ConfigError(f"config {path}: at {loc}: {error.message}") from error

@@ -33,7 +33,10 @@ support rows only: it gathers the rows inside the chart disk, rotates them
 and scatters them into the unchanged rest, with the bits of a pass over every
 row. 0-d inputs keep the pass over every point instead, because gathering
 would turn them into 1-element arrays, and numpy squares arrays by a multiply
-but one float by libm pow, which may differ in the last bit.
+but one float by libm pow, which may differ in the last bit. The point pass
+screens as the array pass does: a point with u^2 + v^2 >= R^2 (1 + 1e-9)
+lies outside by far more than rounding, so it returns unchanged before the
+costly np.hypot, while every point inside passes the screen.
 """
 
 from __future__ import annotations
@@ -616,17 +619,20 @@ class LocalDiskTwist(MapExpr):
         return xt1, y1, d
 
     def step_point(self, xt, y):
-        # step()'s operations in the same order; np.hypot is kept because
-        # math.hypot rounds differently on some offsets
+        # step()'s operations in the same order: the u^2 + v^2 screen of the
+        # array pass, then np.hypot, which is kept because math.hypot rounds
+        # differently on some offsets
         u = (xt - self.center.x + 0.5) % 1.0 - 0.5
         v = y - self.center.y
-        r = float(np.hypot(u, v))
-        if not r < self.radius:
-            return xt + 0.0, y + 0.0
-        ang = float(self.profile.phi(r))
-        ca = math.cos(ang)
-        sa = math.sin(ang)
-        return xt + (u * ca - v * sa - u), y + (u * sa + v * ca - v)
+        R = self.radius
+        if u * u + v * v < R * R * (1.0 + 1e-9):
+            r = float(np.hypot(u, v))
+            if r < R:
+                ang = float(self.profile.phi(r))
+                ca = math.cos(ang)
+                sa = math.sin(ang)
+                return xt + (u * ca - v * sa - u), y + (u * sa + v * ca - v)
+        return xt + 0.0, y + 0.0
 
     def action(self, xt, y):
         # the rotation-invariant radial part plus the exact correction

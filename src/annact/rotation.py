@@ -6,7 +6,9 @@ universal cover. A measure's rotation number is the mean of the one-step lift
 displacement, read as measure_action reads the mean of the action function:
 exact on boundary circles and orbits, by quadrature for the area measure
 (whose invariance makes it equal to the long-orbit average), and by the same
-Birkhoff estimator over the measure's own orbit for empirical measures.
+Birkhoff estimator over the measure's own orbit for empirical measures. That
+orbit is action.empirical_orbit, the one measure_action averages g over, so
+an empirical measure's action and rotation number cost one orbit pass.
 """
 
 from __future__ import annotations
@@ -15,8 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import ActionContext, MeasureSpec, birkhoff_average, measure_action
-from .maps import MapExpr, RigidRotation, Twist, boundary_circle_map, orbit_arrays
+from .action import (
+    ActionContext,
+    MeasureSpec,
+    birkhoff_average,
+    empirical_orbit,
+    measure_action,
+)
+from .maps import MapExpr, RigidRotation, Twist, boundary_circle_map
 from .phase_space import AnnulusPoint
 from .quadrature import displacement_descriptor, tree_field_integral
 from .util import wrap_turn
@@ -61,15 +69,18 @@ def rotation_number_point(m: MapExpr, p: AnnulusPoint, n_iter: int = 100_000) ->
     Closed forms are used for rigid rotations, twists, and fixed points; the
     generic path takes the n_iter one-step displacements along the orbit of
     n_iter + 1 points and averages them with action.birkhoff_average, whose
-    tail fluctuation is the error estimate. Non-convergence is reported
-    through the estimate, not raised; callers decide.
+    tail fluctuation is the error estimate. The orbit comes from
+    action.empirical_orbit, so after measure_action of the empirical measure
+    (m, p, n_iter) on the same map object it is not stepped again.
+    Non-convergence is reported through the estimate, not raised; callers
+    decide.
     """
     if n_iter < 1000:
         raise ValueError("rotation averages need n_iter >= 1000")
     closed = _closed_form_point_rotation(m, p)
     if closed is not None:
         return closed
-    xs, _ = orbit_arrays(m, p.x, p.y, n_iter + 1)
+    xs, _ = empirical_orbit(m, p, n_iter)
     return RotationValue(*birkhoff_average(np.diff(xs)), exact=False)
 
 
@@ -94,9 +105,10 @@ def mean_rotation_area(m: MapExpr, tol: float = 1e-9) -> RotationValue:
 def measure_rotation(m: MapExpr, mu: MeasureSpec, n_iter: int = 100_000) -> RotationValue:
     """Rotation number of an invariant measure.
 
-    Empirical measures average over their own mu.n_iter iterates, as in
-    measure_action. n_iter is accepted and not used, like a boundary
-    measure's n_iter in measure_action.
+    Empirical measures average over their own mu.n_iter iterates, along
+    the orbit measure_action steps for them (rotation_number_point). n_iter
+    is accepted and not used, like a boundary measure's n_iter in
+    measure_action.
     """
     if mu.variant == "area":
         return mean_rotation_area(m)

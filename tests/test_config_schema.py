@@ -1,11 +1,17 @@
-"""The configuration schema is checked once, here, instead of on every load."""
+"""The configuration schema is checked once, here, instead of on every load;
+its validator is built on the first load."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 from jsonschema.validators import validator_for
 
+import annact
 from annact.cli import CONFIG_SCHEMA, load_config
 from annact.errors import ConfigError
 
@@ -37,3 +43,12 @@ def test_config_errors_match_jsonschema_validate(tmp_path, mutation):
     with pytest.raises(ConfigError) as got:
         load_config(str(path))
     assert str(got.value) == f"config {path}: at {loc}: {want.value.message}"
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    src = str(Path(annact.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, annact.cli; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -147,6 +147,30 @@ def test_example_pipeline(perturbed_rotation):
             assert o.residual < 1e-9
 
 
+def test_example_pipeline_takes_each_mean_action_once(monkeypatch):
+    # the twist's mean action serves the rationality probe and the
+    # additivity check; only verify_theorem's area measure repeats one
+    import annact.action as action_mod
+    from annact.cli import render_report_json
+    from annact.harness import local_perturbation_map
+
+    calls = []
+    calabi = action_mod.calabi
+
+    def counted(m, *args, **kwargs):
+        calls.append(m)
+        return calabi(m, *args, **kwargs)
+
+    monkeypatch.setattr(action_mod, "calabi", counted)
+    center = AnnulusPoint(0.5, 0.5)
+    kw = dict(q_max=6, cfg=SearchConfig(grid=24))
+    rep = example_local_perturbation(GOLDEN, center, BUMP_R, BUMP_C, **kw)
+    assert len(calls) <= 4
+    want = verify_theorem(local_perturbation_map(GOLDEN, center, BUMP_R, BUMP_C),
+                          MeasureSpec.area(), MeasureSpec.boundary_lower(), **kw)
+    assert render_report_json(rep) == render_report_json(want)
+
+
 def test_example_pipeline_rejects_degenerate_and_rational():
     with pytest.raises(DegenerateGapError):
         example_local_perturbation(GOLDEN, AnnulusPoint(0.5, 0.5), 0.3, 0.0)

@@ -146,3 +146,43 @@ def test_scalar_start_makes_no_numpy_step(monkeypatch, perturbed_rotation):
     assert calls == []
     orbit_arrays(m, np.array([0.3, 0.6]), 0.55, 50)
     assert len(calls) == 49 * 3
+
+
+def _random_disk(rng):
+    while True:
+        disks = [leaf for leaf in random_composition(rng, max_leaves=4).leaves()
+                 if isinstance(leaf, LocalDiskTwist)]
+        if disks:
+            return disks[0]
+
+
+def _ring(disk, r, nudges=range(-4, 5)):
+    """Points at chart radius about r, each nudged by whole ulps in x and y."""
+    cx, cy = disk.center.x, disk.center.y
+    pts = []
+    for theta in np.linspace(0.1, 0.1 + 2 * np.pi, 12, endpoint=False):
+        x0 = cx + r * np.cos(theta)
+        y0 = cy + r * np.sin(theta)
+        pts += [(float(x0 + i * np.spacing(x0)), float(y0 + j * np.spacing(y0)))
+                for i in nudges for j in nudges]
+    return pts
+
+
+@pytest.mark.parametrize("which", ["readme", "random"])
+def test_screened_step_point_at_the_support_circle(which, rng):
+    disk = (LocalDiskTwist.poly_bump(AnnulusPoint(0.5, 0.5), BUMP_R, BUMP_C)
+            if which == "readme" else _random_disk(rng))
+    R = disk.radius
+    screen = R * R * (1.0 + 1e-9)
+    near_circle = _ring(disk, R)
+    near_screen = _ring(disk, float(np.sqrt(screen)))
+    hyp = [float(np.hypot(*disk.chart_offsets(*pt))) for pt in near_circle]
+    # within a few ulps of the coordinates, which are coarser than R's
+    assert max(abs(h - R) for h in hyp) <= 16 * np.spacing(1.0)
+    assert min(hyp) < R <= max(hyp)
+    sq = [float(u * u + v * v) for u, v in (disk.chart_offsets(*pt) for pt in near_screen)]
+    assert min(sq) < screen <= max(sq)
+    inside_ring = _ring(disk, R * (1.0 - 1e-6), [0]) + _ring(disk, 0.5 * R, [0])
+    for xt, y in near_circle + near_screen + inside_ring:
+        want_xt, want_y, _ = disk.step(np.asarray(xt), np.asarray(y))
+        assert disk.step_point(xt, y) == (float(want_xt), float(want_y)), (xt, y)

@@ -2,11 +2,15 @@
 measures over their own orbit with the action's Birkhoff estimator, boundary
 circles by one forward pass; and the Newton census drops zero steps at once."""
 
+import math
+
 import numpy as np
 import pytest
 
+import annact.action as action_mod
 import annact.orbits as orbits_mod
 from annact import (
+    ActionContext,
     AnnulusPoint,
     Compose,
     Iterate,
@@ -19,10 +23,12 @@ from annact import (
     Twist,
     boundary_circle_map,
     find_periodic_orbits,
+    map_from_config,
+    measure_action,
     measure_rotation,
     rotation_number_point,
 )
-from annact.action import birkhoff_average
+from annact.action import birkhoff_average, empirical_orbit
 from annact.maps import orbit_arrays, random_composition
 
 SEED = AnnulusPoint(0.51, 0.62)
@@ -41,6 +47,31 @@ def test_point_rotation_is_the_birkhoff_average_of_displacements(perturbed_rotat
     value, err = birkhoff_average(np.diff(xs))
     rv = rotation_number_point(perturbed_rotation, SEED, 3000)
     assert (rv.value, rv.error_estimate, rv.exact) == (value, err, False)
+
+
+def test_empirical_action_and_rotation_share_one_orbit(monkeypatch, perturbed_rotation):
+    passes = []
+
+    def counted(m, x, y, n):
+        passes.append(n)
+        return orbit_arrays(m, x, y, n)
+
+    monkeypatch.setattr(action_mod, "orbit_arrays", counted)
+    cfg = perturbed_rotation.to_config()
+    ctx = ActionContext.default()
+    mu = MeasureSpec.empirical(SEED, 2000)
+    m = map_from_config(cfg)
+    a = measure_action(m, ctx, mu, tol=math.inf)
+    r = measure_rotation(m, mu)
+    assert passes == [2001]
+    xs, ys = empirical_orbit(m, SEED, 2000)
+    assert not xs.flags.writeable and not ys.flags.writeable
+    want_xs, want_ys = orbit_arrays(m, SEED.x, SEED.y, 2001)
+    assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
+    # an equal map built again is another object, so each cold call steps anew
+    assert measure_rotation(map_from_config(cfg), mu) == r
+    assert measure_action(map_from_config(cfg), ctx, mu, tol=math.inf) == a
+    assert passes == [2001] * 3
 
 
 def test_zero_newton_steps_skip_the_line_search(monkeypatch):
