@@ -132,6 +132,7 @@ _MEASURE_SCHEMA = {
             "type": "object",
             "properties": {
                 "kind": {"enum": ["boundary_lower", "boundary_upper", "area"]},
+                # accepted and ignored: these actions are exact
                 "n_iter": {"type": "integer", "minimum": 1000},
             },
             "required": ["kind"],
@@ -334,7 +335,7 @@ def _measure_from_config(mcfg: dict, m: MapExpr, cfg_search: SearchConfig,
                          empirical_n_iter: int) -> MeasureSpec:
     kind = mcfg["kind"]
     if kind in ("boundary_lower", "boundary_upper", "area"):
-        return MeasureSpec(kind, n_iter=mcfg.get("n_iter", 1_000_000))
+        return MeasureSpec(kind)
     if kind == "empirical":
         seed = mcfg["seed"]
         return MeasureSpec.empirical(AnnulusPoint(seed[0], seed[1]),
@@ -478,7 +479,7 @@ def cmd_action(args) -> int:
     cv = calabi(m, ctx)
     print(f"mean action (Calabi) = {cv.value!r} (err {cv.error_estimate!r})")
     for name in ("boundary_lower", "boundary_upper", "area"):
-        mv = measure_action(m, ctx, MeasureSpec(name, n_iter=args.n_iter))
+        mv = measure_action(m, ctx, MeasureSpec(name))
         print(f"action[{name}] = {mv.value!r} (err {mv.error_estimate!r})")
     return EXIT_OK
 
@@ -597,13 +598,11 @@ def cmd_audit(args) -> int:
     worst = 0.0
     for c in (-1.0, -0.3, 0.7, 2.0):
         base, shifted = shifted_action_difference(
-            tw, MeasureSpec("boundary_upper", n_iter=10_000),
-            MeasureSpec("boundary_lower", n_iter=10_000), c)
+            tw, MeasureSpec("boundary_upper"), MeasureSpec("boundary_lower"), c)
         worst = max(worst, abs(shifted - base - c * 1.0))
         rot = RigidRotation(0.37)
         base, shifted = shifted_action_difference(
-            rot, MeasureSpec("boundary_upper", n_iter=10_000),
-            MeasureSpec("boundary_lower", n_iter=10_000), c)
+            rot, MeasureSpec("boundary_upper"), MeasureSpec("boundary_lower"), c)
         worst = max(worst, abs(shifted - base))
     line, ok = _audit_line("primitive-shift law (boundary pairs)", worst, 1e-6)
     lines.append(line)

@@ -361,7 +361,7 @@ def example_local_perturbation(a: float, center: AnnulusPoint, R: float, c: floa
         raise NonConvergentError(
             f"composite mean action deviates from additivity by {add_defect:.3e}")
     for which in ("boundary_lower", "boundary_upper"):
-        bdry = measure_action(perturbed, ctx, MeasureSpec(which, n_iter=10_000))
+        bdry = measure_action(perturbed, ctx, MeasureSpec(which))
         if abs(bdry.value) > 1e-9:
             raise NonConvergentError(
                 f"{which} action of the perturbed map is {bdry.value:.3e}, expected 0")

@@ -28,15 +28,14 @@ numpy's per-call cost. Scalar-start orbit_arrays, eval_map, eval_lift and
 boundary_displacement take it; array starts keep the array pass, which numpy
 may round differently in the last bit.
 
-A disk twist is the identity off its support, so its array pass works on the
-support rows only: it gathers the rows inside the chart disk, rotates them
-and scatters them into the unchanged rest, with the bits of a pass over every
-row. 0-d inputs keep the pass over every point instead, because gathering
-would turn them into 1-element arrays, and numpy squares arrays by a multiply
-but one float by libm pow, which may differ in the last bit. The point pass
-screens as the array pass does: a point with u^2 + v^2 >= R^2 (1 + 1e-9)
-lies outside by far more than rounding, so it returns unchanged before the
-costly np.hypot, while every point inside passes the screen.
+A disk twist is the identity off its support, and one kernel, _support,
+decides its support for numpy input: u^2 + v^2 < R^2 (1 + 1e-9) screens the
+points and np.hypot(u, v) < R decides on those. step and action rotate the
+support points only and scatter them into the unchanged rest, with the bits
+of a pass over every point. Arrays gather their support rows; a 0-d input
+stays one numpy float, because numpy squares one float by libm pow but an
+array by a multiply, which may differ in the last bit. step_point is the
+Python-float copy of step and reads the same screen bound.
 """
 
 from __future__ import annotations
@@ -512,12 +511,10 @@ class LocalDiskTwist(MapExpr):
     is isometric because x is measured in turns. R < min(cy, 1 - cy) <= 1/2
     keeps the disk inside the annulus and away from x-wraparound.
 
-    On arrays, step computes offsets on every row but the radius, rotation
-    and differential on the support rows only (those with r < R); every other
-    row keeps its point and gets the identity differential. 0-d inputs go
-    through the same arithmetic on every point, as action does: numpy rounds
-    one float's ** 2 (libm pow) apart from an array's (a multiply), so a
-    gathered 1-element array could move phi by an ulp.
+    step and action share one support kernel, _support: offsets on every
+    point, then the radius, rotation and differential on the support points
+    only (those with r < R). Every other point keeps its place, the identity
+    differential and action 0. step_point is the Python-float copy of step.
     """
 
     def __init__(self, center: AnnulusPoint, radius: float, profile: RadialProfile):
@@ -531,6 +528,9 @@ class LocalDiskTwist(MapExpr):
         self.center = center
         self.radius = float(radius)
         self.profile = profile
+        # every point with hypot(u, v) < R has u^2 + v^2 below this bound, and
+        # a point above it lies outside by far more than rounding
+        self._screen = self.radius * self.radius * (1.0 + 1e-9)
 
     @staticmethod
     def poly_bump(center, radius: float, c: float) -> "LocalDiskTwist":
@@ -562,40 +562,42 @@ class LocalDiskTwist(MapExpr):
         gv = ca * u - sa * v
         return u1, v1, (ca + k * gu * u, -sa + k * gu * v, sa + k * gv * u, ca + k * gv * v)
 
-    def _chart_rotation(self, xt, y, with_jacobian=False):
-        """_rotate over every point, with the radius clipped to the support:
-        offsets (u, v), clipped radius, inside mask, rotated offsets, D entries."""
-        u, v = self.chart_offsets(xt, y)
-        r = np.hypot(u, v)
-        rc = np.minimum(r, self.radius)
-        return (u, v, rc, r < self.radius) + self._rotate(u, v, rc, with_jacobian)
+    def _support(self, xt, y):
+        """The support rows of (xt, y): (shape, xt, y, rows, u, v, r) with the
+        inputs broadcast to shape and flattened, rows the index of the points
+        with hypot(u, v) < R (None when there are none) and u, v, r on them.
 
-    def step(self, xt, y, with_jacobian=False):
+        On arrays u^2 + v^2 screens and hypot decides on the survivors, which
+        are gathered with take. A 0-d input is not gathered: its index is 0
+        and u, v, r are numpy floats, so ** 2 rounds as on one float (libm pow).
+        """
         xt = np.asarray(xt, dtype=float)
         y = np.asarray(y, dtype=float)
-        if xt.ndim == 0 and y.ndim == 0:
-            return self._step_scalar(xt, y, with_jacobian)
-        # u^2 + v^2 screens for the support rows and hypot decides on those,
-        # so every row is inside exactly when hypot(u, v) < R
         shape = xt.shape
         if y.shape != shape:
             shape = np.broadcast_shapes(shape, y.shape)
             xt, y = np.broadcast_to(xt, shape), np.broadcast_to(y, shape)
+        if not shape:
+            u, v = self.chart_offsets(xt, y)
+            r = np.hypot(u, v)
+            return shape, xt.ravel(), y.ravel(), (0 if r < self.radius else None), u, v, r
         xt = xt.ravel()
         y = y.ravel()
         u, v = self.chart_offsets(xt, y)
-        R = self.radius
-        rows = (u * u + v * v < R * R * (1.0 + 1e-9)).nonzero()[0]
-        u = u.take(rows)
-        v = v.take(rows)
+        rows = (u * u + v * v < self._screen).nonzero()[0]
+        u, v = u.take(rows), v.take(rows)
         r = np.hypot(u, v)
-        keep = (r < R).nonzero()[0]
+        keep = (r < self.radius).nonzero()[0]
         if keep.size < rows.size:
             rows, u, v, r = rows.take(keep), u.take(keep), v.take(keep), r.take(keep)
+        return shape, xt, y, (rows if rows.size else None), u, v, r
+
+    def step(self, xt, y, with_jacobian=False):
+        shape, xt, y, rows, u, v, r = self._support(xt, y)
         xt1 = xt + 0.0
         y1 = y + 0.0
         d = _identity((xt.size,)) if with_jacobian else None
-        if rows.size:
+        if rows is not None:
             u1, v1, dents = self._rotate(u, v, r, with_jacobian)
             xt1[rows] = xt.take(rows) + (u1 - u)
             y1[rows] = y.take(rows) + (v1 - v)
@@ -606,28 +608,15 @@ class LocalDiskTwist(MapExpr):
             d = d.reshape(shape + (2, 2))
         return xt1.reshape(shape), y1.reshape(shape), d
 
-    def _step_scalar(self, xt, y, with_jacobian):
-        """step at one point: the arithmetic of every row, masked by np.where."""
-        u, v, rc, inside, u1, v1, dents = self._chart_rotation(xt, y, with_jacobian)
-        xt1 = xt + np.where(inside, u1 - u, 0.0)
-        y1 = y + np.where(inside, v1 - v, 0.0)
-        if not with_jacobian:
-            return xt1, y1, None
-        d = np.empty((2, 2))
-        for (i, j), entry in zip(_ENTRIES, dents):
-            d[i, j] = np.where(inside, entry, float(i == j))
-        return xt1, y1, d
-
     def step_point(self, xt, y):
-        # step()'s operations in the same order: the u^2 + v^2 screen of the
-        # array pass, then np.hypot, which is kept because math.hypot rounds
+        # step()'s operations in the same order: the u^2 + v^2 screen of
+        # _support, then np.hypot, which is kept because math.hypot rounds
         # differently on some offsets
         u = (xt - self.center.x + 0.5) % 1.0 - 0.5
         v = y - self.center.y
-        R = self.radius
-        if u * u + v * v < R * R * (1.0 + 1e-9):
+        if u * u + v * v < self._screen:
             r = float(np.hypot(u, v))
-            if r < R:
+            if r < self.radius:
                 ang = float(self.profile.phi(r))
                 ca = math.cos(ang)
                 sa = math.sin(ang)
@@ -635,13 +624,16 @@ class LocalDiskTwist(MapExpr):
         return xt + 0.0, y + 0.0
 
     def action(self, xt, y):
-        # the rotation-invariant radial part plus the exact correction
-        # S o h - S, with S = u (v/2 + cy) the chart potential of beta - beta_polar
-        u, v, rc, inside, u1, v1, _ = self._chart_rotation(xt, y)
-        cy = self.center.y
-        s_before = u * (0.5 * v + cy)
-        s_after = u1 * (0.5 * v1 + cy)
-        return np.where(inside, self.profile.action_radial(rc) + s_after - s_before, 0.0)
+        # on the support, the rotation-invariant radial part plus the exact
+        # correction S o h - S, with S = u (v/2 + cy) the chart potential of
+        # beta - beta_polar; zero off the support
+        shape, xt, _, rows, u, v, r = self._support(xt, y)
+        g = np.zeros(xt.size)
+        if rows is not None:
+            u1, v1, _ = self._rotate(u, v, r)
+            cy = self.center.y
+            g[rows] = self.profile.action_radial(r) + u1 * (0.5 * v1 + cy) - u * (0.5 * v + cy)
+        return g.reshape(shape)
 
     def kink_margin(self, xt, y):
         u, v = self.chart_offsets(xt, y)

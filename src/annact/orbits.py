@@ -324,7 +324,9 @@ def refine_orbit(m: MapExpr, seed_orbit: PeriodicOrbit, target_residual: float =
     """Newton-polish an approximate orbit down to target_residual.
 
     The seed must already be within residual 1e-2; anything farther is outside
-    Newton's reliable basin here and is reported as non-convergent.
+    Newton's reliable basin here and is reported as non-convergent. A polished
+    orbit that certifies but stays above target_residual raises
+    NonConvergentError with that orbit as its value.
     """
     cfg = cfg or SearchConfig()
     cfg = replace(cfg, newton_target=min(target_residual, cfg.newton_target))
@@ -337,8 +339,13 @@ def refine_orbit(m: MapExpr, seed_orbit: PeriodicOrbit, target_residual: float =
     if len(sols) == 0:
         raise NonConvergentError("Newton refinement did not converge")
     orbs = _orbits_from_solutions(m, seed_orbit.q, seed_orbit.p, sols[:1], cfg)
-    if not orbs or orbs[0].residual > target_residual:
-        raise NonConvergentError("refined orbit missed the target residual")
+    if not orbs:
+        raise NonConvergentError(
+            f"refined orbit failed certification (residual >= {CERTIFIED_RESIDUAL:g})")
+    if orbs[0].residual > target_residual:
+        raise NonConvergentError(
+            f"refined orbit missed the target residual: reached {orbs[0].residual:.3g}, "
+            f"target {target_residual:.3g}", value=orbs[0])
     return orbs[0]
 
 

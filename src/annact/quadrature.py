@@ -24,12 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .maps import LocalDiskTwist, MapExpr, RigidRotation, Twist, compose_chain
-from .util import (  # noqa: F401  (integrate_path_parameter is re-exported)
-    gauss_nodes_unit,
-    integrate_path_parameter,
-    pairwise_sum,
-    refine_by_doubling,
-)
+from .util import gauss_nodes_unit, pairwise_sum, refine_by_doubling
 
 
 def integrate_unit_interval(fn: Callable, tol: float = 1e-10, n0: int = 32,

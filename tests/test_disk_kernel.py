@@ -171,6 +171,56 @@ def test_outside_rows_skip_the_rotation(monkeypatch):
     assert rows == [2]
 
 
+def _where_action(leaf, xt, y):
+    """Oracle: the full-array action kernel, the clipped radius and the
+    rotation on every row, then np.where."""
+    u, v = leaf.chart_offsets(xt, y)
+    r = np.hypot(u, v)
+    rc = np.minimum(r, leaf.radius)
+    u1, v1, _ = leaf._rotate(u, v, rc)
+    cy = leaf.center.y
+    s_before = u * (0.5 * v + cy)
+    s_after = u1 * (0.5 * v1 + cy)
+    return np.where(r < leaf.radius, leaf.profile.action_radial(rc) + s_after - s_before, 0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(PROFILES))
+@pytest.mark.parametrize("cx", [0.5, 0.0])
+def test_action_equals_full_array_kernel(kind, cx, rng):
+    leaf = LocalDiskTwist(AnnulusPoint(cx, 0.5), R, PROFILES[kind])
+    xs, ys = _points(rng, cx)
+    X, Y = np.meshgrid(np.linspace(-0.5, 1.5, 41), np.linspace(0.0, 1.0, 37), indexing="ij")
+    cases = [(xs, ys), (X, Y), (X.T, Y.T), (0.75, ys), (xs, np.asarray(0.5)),
+             (xs[:, None], ys[None, :40]), (xs[:0], ys[:0])]
+    points = list(zip(xs[:40], ys[:40])) + [(x - 0.5 + cx, y) for x, y in POW_POINTS]
+    cases += [(float(x), float(y)) for x, y in points]
+    cases += [(np.asarray(x), np.float64(y)) for x, y in points]
+    for xt, y in cases:
+        got, want = leaf.action(xt, y), _where_action(leaf, xt, y)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_action_outside_rows_skip_the_rotation(monkeypatch):
+    profile = PolyBumpRadial(BUMP_C, R)
+    rows = []
+
+    def counted_phi(r, _phi=profile.phi):
+        rows.append(np.size(r))
+        return _phi(r)
+
+    monkeypatch.setattr(profile, "phi", counted_phi)
+    leaf = LocalDiskTwist(AnnulusPoint(0.5, 0.5), R, profile)
+    xs = np.array([0.0, 0.1, 0.75, 0.25, 0.5, 0.5, 1.9])
+    ys = np.array([0.5, 0.9, 0.5, 0.5, 0.75, 0.25, 0.05])
+    assert np.array_equal(_bits(leaf.action(xs, ys)), _bits(np.zeros(xs.size)))
+    assert _bits(leaf.action(0.1, 0.9)) == 0
+    assert rows == []
+    g = leaf.action(np.array([0.5, 0.0, 0.6]), np.array([0.5, 0.5, 0.45]))
+    assert rows == [2]
+    assert g[0] < 0.0 and _bits(g[1]) == 0 and g[2] != 0.0
+
+
 # ---------------------------------------------------------------------------
 # the two satellites: bisection on the point pass, median by sorting
 # ---------------------------------------------------------------------------

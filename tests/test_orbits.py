@@ -95,6 +95,28 @@ def test_refine_orbit(linear_twist, rng):
         refine_orbit(linear_twist, bad, 1e-12)
 
 
+
+def test_refine_orbit_reports_what_it_reached(perturbed_rotation):
+    # the README (6, 4) census at grid 48: three orbits stop between 1e-12 and
+    # 1e-10, where the conditioning of F^6 floors Newton; the error carries
+    # the refined orbit and names its residual and the target
+    orbits = find_periodic_orbits(perturbed_rotation, 6, 4, SearchConfig(grid=48))
+    assert len(orbits) == 15
+    missed = []
+    for i, orb in enumerate(orbits):
+        try:
+            polished = refine_orbit(perturbed_rotation, orb)
+        except NonConvergentError as e:
+            missed.append(i)
+            assert isinstance(e.value, PeriodicOrbit)
+            assert (e.value.q, e.value.p) == (6, 4)
+            assert 1e-12 < e.value.residual < 1e-10
+            assert f"reached {e.value.residual:.3g}" in str(e) and "target 1e-12" in str(e)
+        else:
+            assert polished.residual <= 1e-12
+    assert missed == [1, 2, 10]
+
+
 def test_orbit_action_closed_form(linear_twist):
     ctx = ActionContext.default()
     orbits = find_periodic_orbits(linear_twist, 4, 3, SearchConfig(grid=16))
