@@ -4,7 +4,12 @@ A type-(q, p) orbit solves F^q(z) = z + (p, 0) in the universal cover. The
 search runs damped Newton on G(z) = F^q(z) - z - (p, 0) from a seed lattice,
 then works on all converged solutions as arrays: it canonicalises their
 orbits, certifies them by their residuals and deduplicates them modulo deck
-translation and cyclic relabeling. Only then does it build one PeriodicOrbit
+translation and cyclic relabeling. The dedup has two array stages: stage 1
+collapses the many Newton copies of one chain (starts in one tol / 10 cell,
+each confirmed within tol of the group's best row in one batched distance
+call), and stage 2 runs the greedy window scan over one row per copy. Stage 2
+is still that greedy window, so it keeps both listings of an orbit through
+x = 0 (the known wrap duplicates). Only then does it build one PeriodicOrbit
 per distinct orbit, in canonical order, so results are deterministic
 regardless of search scheduling. Integrable families produce whole circles of
 solutions; these are detected through the rank of I - DF^q and flagged as
@@ -206,9 +211,15 @@ def _cyclic_distance(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def orbit_distance(a: PeriodicOrbit | np.ndarray, b: PeriodicOrbit | np.ndarray,
                    q: int | None = None, p: int | None = None) -> float:
     """Distance between two (q, p) orbits: the minimum over cyclic relabelings
-    and integer deck translations of the max pointwise distance."""
-    if isinstance(a, PeriodicOrbit):
-        p = a.p
+    and integer deck translations of the max pointwise distance.
+
+    p comes from whichever argument is a PeriodicOrbit (a first); two point
+    arrays need it given."""
+    for o in (b, a):
+        if isinstance(o, PeriodicOrbit):
+            p = o.p
+    if p is None:
+        raise ValueError("orbit_distance of two point arrays needs the winding p")
     pa, pb = (o.point_array() if isinstance(o, PeriodicOrbit) else np.asarray(o) for o in (a, b))
     if len(pa) != len(pb):
         return np.inf
@@ -217,13 +228,40 @@ def orbit_distance(a: PeriodicOrbit | np.ndarray, b: PeriodicOrbit | np.ndarray,
 
 def _dedup_indices(pts: np.ndarray, residual: np.ndarray, p: int, tol: float) -> np.ndarray:
     """Indices of the distinct orbits among (N, q, 2) points, in canonical
-    order. A greedy scan in canonical order compares each orbit with the kept
-    ones, latest first, while their start x is within 64 * tol (all of them if
-    its own start is within 64 * tol of x = 0 or 1); a duplicate replaces its
-    match when its residual is lower."""
+    order, in two stages.
+
+    Stage 1 collapses copies of one chain: rows whose starts round to the
+    same tol / 10 cell form a group, represented by the row the greedy scan
+    would keep (the lowest residual, the earliest in canonical order on a
+    tie). One array pass confirms each member within tol of its
+    representative; a member that fails goes on as its own candidate.
+
+    Stage 2 is the greedy scan over the representatives and the unconfirmed
+    rows, in canonical order: it compares each with the kept ones, latest
+    first, while their start x is within 64 * tol (all of them if its own
+    start is within 64 * tol of x = 0 or 1); a duplicate replaces its match
+    when its residual is lower. Two listings of one orbit from different
+    start points (a point at x = 0 projects to 0 on one and to 1 - eps on
+    the other) can fall outside that window, and both are kept."""
+    if len(pts) == 0:
+        return np.zeros(0, dtype=int)
     x0, y0 = pts[:, 0, 0], pts[:, 0, 1]
+    order = np.lexsort((y0, x0))
+    _, group = np.unique(np.round(pts[:, 0] / (tol / 10)), axis=0, return_inverse=True)
+    group = group.ravel()  # numpy 2.0.0 returns it as (N, 1)
+    # stable, so a residual tie keeps canonical order
+    by_group = order[np.lexsort((residual[order], group[order]))]
+    first = np.r_[True, group[by_group[1:]] != group[by_group[:-1]]]
+    rep = by_group[first][group]
+    # confirm in chunks of about 2^18 (row, shift, point) entries
+    step = max(1, 2**18 // pts.shape[1] ** 2)
+    confirmed = np.concatenate([
+        _cyclic_distance(pts[rep[lo:lo + step]], pts[lo:lo + step], p) < tol
+        for lo in range(0, len(pts), step)
+    ])
+    candidate = (rep == np.arange(len(pts))) | ~confirmed
     kept: list[int] = []
-    for i in np.lexsort((y0, x0)):
+    for i in order[candidate[order]]:
         window = np.array(kept[::-1], dtype=int)
         if min(x0[i], 1 - x0[i]) > 64 * tol:
             far = np.abs(x0[i] - x0[window]) > 64 * tol
@@ -306,13 +344,15 @@ def find_periodic_orbits(m: MapExpr, q: int, p: int | Sequence[int],
     at residual < 1e-9 and deduplicated with the cyclic/deck-translation
     metric, and one orbit is built per distinct solution, in canonical order.
     The orbits of all windings come back as one list in the given p order;
-    each carries its own p. workers is accepted and ignored: the census is
-    one batched run in this process.
+    each carries its own p. A winding given twice is rejected. workers is
+    accepted and ignored: the census is one batched run in this process.
     """
     if q < 1:
         raise ValueError("period must be a positive integer")
     cfg = cfg or SearchConfig()
     ps = list(p) if np.ndim(p) else [p]
+    if len(set(ps)) < len(ps):
+        raise ValueError(f"windings p must not repeat, got {ps}")
     lattice = _seed_lattice(cfg.grid, cfg.boundary_margin)
     seeds = np.tile(lattice, (len(ps), 1))
     sols, sol_p = _newton_polish(m, q, np.repeat(ps, len(lattice)), seeds, cfg)

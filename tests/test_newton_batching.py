@@ -109,3 +109,8 @@ def test_line_search_call_budget(perturbed_rotation, monkeypatch):
     # one residual call per damping level would make about 800
     assert len(rows) <= 60
     assert max(rows) <= 2 * cfg.grid**2
+
+
+def test_census_rejects_a_repeated_winding(perturbed_rotation):
+    with pytest.raises(ValueError, match="repeat"):
+        find_periodic_orbits(perturbed_rotation, 6, [4, 4], SearchConfig(grid=24))

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import annact.orbits as orbits_mod
-from annact import SearchConfig, find_periodic_orbits, orbit_distance
+from annact import (
+    AnnulusPoint,
+    Compose,
+    LocalDiskTwist,
+    SearchConfig,
+    candidate_windings,
+    find_periodic_orbits,
+    orbit_distance,
+)
 
 
 def test_census_builds_only_the_distinct_orbits(perturbed_rotation, monkeypatch):
@@ -53,6 +61,94 @@ def test_orbit_distance_matches_the_loop_reference(q, p, rng):
         b = np.roll(a, rng.integers(q), axis=0) + rng.normal(0.0, 1e-3, (q, 2))
         for x, y in ((a, b), (b, a), (a, rng.random((q, 2)))):
             assert orbit_distance(x, y, q, p) == _loop_orbit_distance(x, y, q, p)
+
+
+def test_orbit_distance_takes_p_from_either_orbit(perturbed_rotation):
+    orbits = find_periodic_orbits(perturbed_rotation, 6, 4, SearchConfig(grid=24))
+    a, b = orbits[0], orbits[1]
+    want = orbit_distance(a, b)
+    assert orbit_distance(a.point_array(), b) == want
+    assert orbit_distance(a, b.point_array()) == want
+    assert orbit_distance(a.point_array(), b.point_array(), p=4) == want
+
+
+def test_orbit_distance_of_two_arrays_needs_p(rng):
+    a, b = rng.random((3, 2)), rng.random((3, 2))
+    with pytest.raises(ValueError, match="p"):
+        orbit_distance(a, b)
+    with pytest.raises(ValueError, match="p"):
+        orbit_distance(a, b, 3)
+
+
+def _greedy_dedup_indices(pts, residual, p, tol):
+    """Reference: the greedy window scan over every row, one row at a time."""
+    x0, y0 = pts[:, 0, 0], pts[:, 0, 1]
+    kept = []
+    for i in np.lexsort((y0, x0)):
+        window = np.array(kept[::-1], dtype=int)
+        if min(x0[i], 1 - x0[i]) > 64 * tol:
+            far = np.abs(x0[i] - x0[window]) > 64 * tol
+            window = window[~np.logical_or.accumulate(far)]
+        hit = np.flatnonzero(orbits_mod._cyclic_distance(pts[window], pts[i], p) < tol)
+        if hit.size == 0:
+            kept.append(i)
+        elif residual[i] < residual[window[hit[0]]]:
+            kept[kept.index(window[hit[0]])] = i
+    kept = np.array(kept, dtype=int)
+    return kept[np.lexsort((y0[kept], x0[kept]))]
+
+
+def _disk_map(golden_rotation, c):
+    return Compose(golden_rotation, LocalDiskTwist.poly_bump(AnnulusPoint(0.5, 0.5), 0.35, c))
+
+
+def test_two_stage_dedup_keeps_the_greedy_scans_orbits(golden_rotation, monkeypatch):
+    captured = []
+    two_stage = orbits_mod._dedup_indices
+
+    def capture(pts, residual, p, tol):
+        captured.append((pts, residual, p, tol))
+        return two_stage(pts, residual, p, tol)
+
+    monkeypatch.setattr(orbits_mod, "_dedup_indices", capture)
+    readme = _disk_map(golden_rotation, 50.85)
+    find_periodic_orbits(readme, 6, 4, SearchConfig(grid=96))
+    for q in (7, 8):  # these hold the three known wrap duplicates
+        find_periodic_orbits(readme, q, candidate_windings(readme, q), SearchConfig(grid=48))
+    find_periodic_orbits(_disk_map(golden_rotation, 10.0), 5, 3, SearchConfig(grid=96))
+    find_periodic_orbits(_disk_map(golden_rotation, 1.0), 5, 3, SearchConfig(grid=48))
+    assert len(captured) == 7
+    for pts, residual, p, tol in captured:
+        kept = two_stage(pts, residual, p, tol)
+        assert kept.dtype == int
+        np.testing.assert_array_equal(kept, _greedy_dedup_indices(pts, residual, p, tol))
+        assert len(kept) < len(pts)
+
+
+def test_two_stage_dedup_merges_across_a_cell_boundary(rng):
+    tol = 1e-6
+    chain = rng.random((3, 2))
+    chain[0, 0] = 0.5 + 0.5 * tol / 10  # on a cell boundary
+    pts = np.array([chain + [[dx, 0.0]] for dx in (-1e-9, 1e-9, -2e-9, 2e-9)])
+    residual = np.array([3e-13, 1e-13, 2e-13, 1e-13])
+    cells = np.round(pts[:, 0, 0] / (tol / 10))
+    assert len(set(cells)) == 2
+    kept = orbits_mod._dedup_indices(pts, residual, 1, tol)
+    np.testing.assert_array_equal(kept, [1])
+    np.testing.assert_array_equal(kept, _greedy_dedup_indices(pts, residual, 1, tol))
+
+
+def test_two_stage_dedup_keeps_chains_that_share_a_start_cell(rng):
+    tol = 1e-6
+    a = rng.random((3, 2))
+    b = a.copy()
+    b[1, 1] += 10 * tol  # same start, a later point beyond tol
+    pts = np.array([a, b, a, b])
+    residual = np.array([2e-13, 1e-13, 1e-13, 2e-13])
+    assert orbit_distance(a, b, p=1) > tol
+    kept = orbits_mod._dedup_indices(pts, residual, 1, tol)
+    assert sorted(kept) == [1, 2]
+    np.testing.assert_array_equal(kept, _greedy_dedup_indices(pts, residual, 1, tol))
 
 
 @pytest.mark.xfail(strict=True, reason="an orbit through x = 0 can be listed from two "
