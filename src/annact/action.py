@@ -202,13 +202,13 @@ def _bump_stage_margins(m: MapExpr, xt, y):
 
 
 def _point_stage_margin(m: MapExpr, xt: float, y: float, stage: int) -> float:
-    """The stage-th margin of _bump_stage_margins at one point, with the
-    factor orbit stepped on the point pass (step_point rounds as step does)."""
+    """The stage-th margin of _bump_stage_margins at one point, on the point
+    pass: point_margin and step_point round as kink_margin and step do."""
     for leaf in m.leaves():
-        margin = leaf.kink_margin(xt, y)
+        margin = leaf.point_margin(xt, y)
         if margin is not None:
             if stage == 0:
-                return float(margin)
+                return margin
             stage -= 1
         xt, y = leaf.step_point(xt, y)
     raise IndexError("no such kink stage")
@@ -225,12 +225,11 @@ def _segment_breakpoints(m: MapExpr, a: LiftedPoint, b: LiftedPoint,
     for stage, vals in enumerate(margins):
         sign_flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         for i in sign_flip:
-            lo, hi = ts[i], ts[i + 1]
+            lo, hi = float(ts[i]), float(ts[i + 1])
 
             def margin(t, stage=stage):
-                x = a.xt + t * dx
                 y = min(max(a.y + t * dy, 0.0), 1.0)
-                return _point_stage_margin(m, float(x), float(y), stage)
+                return _point_stage_margin(m, a.xt + t * dx, y, stage)
 
             flo = margin(lo)
             for _ in range(60):

@@ -23,10 +23,12 @@ iterates that pass along orbits; the action function of a tree
 step, apply_lift and the routines built on them are vectorized over numpy
 arrays. One point has its own pass: each leaf's step_point(xt, y) repeats
 step's operations on Python floats, and apply_point runs it over leaves().
-It rounds exactly as step does on scalars (0-d arrays), at a fraction of
-numpy's per-call cost. Scalar-start orbit_arrays, eval_map, eval_lift and
-boundary_displacement take it; array starts keep the array pass, which numpy
-may round differently in the last bit.
+It rounds exactly as step does on scalars (0-d arrays) and makes no numpy
+call. eval_map, eval_lift and boundary_displacement take it, and a
+scalar-start orbit_arrays runs one loop over the leaves' bound step_point
+methods. Array starts keep the array pass, which numpy may round differently
+in the last bit. point_margin is kink_margin's Python-float copy, for the
+bisection of a path's support crossings.
 
 A disk twist is the identity off its support, and one kernel, _support,
 decides its support for numpy input: u^2 + v^2 < R^2 (1 + 1e-9) screens the
@@ -35,7 +37,10 @@ support points only and scatter them into the unchanged rest, with the bits
 of a pass over every point. Arrays gather their support rows; a 0-d input
 stays one numpy float, because numpy squares one float by libm pow but an
 array by a multiply, which may differ in the last bit. step_point is the
-Python-float copy of step and reads the same screen bound.
+Python-float copy of step and reads the same screen bound. It takes the
+radius from abs(complex(u, v)): CPython's complex abs calls the C library's
+hypot, the function numpy's hypot calls, while math.hypot has its own
+rounding.
 """
 
 from __future__ import annotations
@@ -369,6 +374,12 @@ class MapExpr:
         or None for a leaf that is smooth everywhere."""
         return None
 
+    def point_margin(self, xt: float, y: float) -> float | None:
+        """kink_margin at one point in Python floats, bit-identical to it on
+        scalars; the default is kink_margin itself."""
+        margin = self.kink_margin(xt, y)
+        return None if margin is None else float(margin)
+
     def leaves(self) -> tuple["MapExpr", ...]:
         """Primitive factors in application order (innermost first)."""
         return (self,)
@@ -531,6 +542,9 @@ class LocalDiskTwist(MapExpr):
         # every point with hypot(u, v) < R has u^2 + v^2 below this bound, and
         # a point above it lies outside by far more than rounding
         self._screen = self.radius * self.radius * (1.0 + 1e-9)
+        # the chart centre as plain floats, read by the point pass
+        self._cx = center.x
+        self._cy = center.y
 
     @staticmethod
     def poly_bump(center, radius: float, c: float) -> "LocalDiskTwist":
@@ -608,14 +622,18 @@ class LocalDiskTwist(MapExpr):
             d = d.reshape(shape + (2, 2))
         return xt1.reshape(shape), y1.reshape(shape), d
 
+    def _point_offsets(self, xt, y):
+        """chart_offsets of one point in Python floats, with the same bits:
+        float % 1.0 rounds w + n once, as w - floor(w) does."""
+        return (xt - self._cx + 0.5) % 1.0 - 0.5, y - self._cy
+
     def step_point(self, xt, y):
         # step()'s operations in the same order: the u^2 + v^2 screen of
-        # _support, then np.hypot, which is kept because math.hypot rounds
-        # differently on some offsets
-        u = (xt - self.center.x + 0.5) % 1.0 - 0.5
-        v = y - self.center.y
+        # _support, then the radius by complex abs, which calls the C
+        # library's hypot as np.hypot does (math.hypot rounds differently)
+        u, v = self._point_offsets(xt, y)
         if u * u + v * v < self._screen:
-            r = float(np.hypot(u, v))
+            r = abs(complex(u, v))
             if r < self.radius:
                 ang = float(self.profile.phi(r))
                 ca = math.cos(ang)
@@ -638,6 +656,9 @@ class LocalDiskTwist(MapExpr):
     def kink_margin(self, xt, y):
         u, v = self.chart_offsets(xt, y)
         return np.hypot(u, v) - self.radius
+
+    def point_margin(self, xt, y):
+        return abs(complex(*self._point_offsets(xt, y))) - self.radius
 
     def inverse(self):
         return LocalDiskTwist(self.center, self.radius, self.profile.negated())
@@ -739,26 +760,40 @@ def orbit_arrays(m: MapExpr, x, y, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Lifted orbit z_0 .. z_{n-1} of (x, y) under m, as arrays xs, ys of
     shape (n,) + the broadcast shape of x and y.
 
-    A scalar start takes the point pass (apply_point, each leaf's step_point
-    on Python floats), bit-identical to stepping the point through numpy one
-    0-d array at a time. Array starts step all points at once through
-    apply_lift; numpy may round that path differently in the last bit.
+    A scalar start takes the point pass: one loop over the leaves' bound
+    step_point methods on Python floats, storing each point through a
+    memoryview, so no step makes a numpy call. It is bit-identical to
+    stepping the point through numpy one 0-d array at a time. Array starts
+    step all points at once through apply_lift; numpy may round that path
+    differently in the last bit.
     """
     xt = np.asarray(x, dtype=float)
     yy = np.asarray(y, dtype=float)
     shape = (n,) + np.broadcast_shapes(xt.shape, yy.shape)
     xs = np.empty(shape)
     ys = np.empty(shape)
-    if shape[1:]:
-        step = m.apply_lift
-    else:
-        xt, yy, step = float(xt), float(yy), m.apply_point
+    if not shape[1:]:
+        _point_orbit(m, float(xt), float(yy), xs, ys)
+        return xs, ys
     for j in range(n):
         if j:
-            xt, yy = step(xt, yy)
+            xt, yy = m.apply_lift(xt, yy)
         xs[j] = xt
         ys[j] = yy
     return xs, ys
+
+
+def _point_orbit(m: MapExpr, xt: float, y: float, xs: np.ndarray, ys: np.ndarray) -> None:
+    steps = [leaf.step_point for leaf in m.leaves()]
+    with memoryview(xs) as xv, memoryview(ys) as yv:
+        if len(xv):
+            xv[0] = xt
+            yv[0] = y
+        for j in range(1, len(xv)):
+            for step in steps:
+                xt, y = step(xt, y)
+            xv[j] = xt
+            yv[j] = y
 
 
 def finite_difference_jacobian(m: MapExpr, xt, y, h: float = 1e-6) -> np.ndarray:

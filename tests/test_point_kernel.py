@@ -186,3 +186,120 @@ def test_screened_step_point_at_the_support_circle(which, rng):
     for xt, y in near_circle + near_screen + inside_ring:
         want_xt, want_y, _ = disk.step(np.asarray(xt), np.asarray(y))
         assert disk.step_point(xt, y) == (float(want_xt), float(want_y)), (xt, y)
+
+
+def _disk_cases(rng):
+    """The README disk, a random disk and a disk centred at x = 0 (its chart
+    disk lies across the x-wrap)."""
+    return {
+        "readme": LocalDiskTwist.poly_bump(AnnulusPoint(0.5, 0.5), BUMP_R, BUMP_C),
+        "random": _random_disk(rng),
+        "wrap": LocalDiskTwist.poly_bump(AnnulusPoint(0.0, 0.4), 0.3, -4.0),
+    }
+
+
+def _ulp_rings(disk):
+    return _ring(disk, disk.radius) + _ring(disk, float(np.sqrt(disk._screen)))
+
+
+def _assert_complex_abs_is_hypot(u, v):
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    want = np.hypot(u, v)
+    got = np.array([abs(complex(a, b)) for a, b in zip(u.tolist(), v.tolist())])
+    bad = np.nonzero(got.view(np.uint64) != want.view(np.uint64))[0]
+    assert bad.size == 0, [(u[i], v[i], got[i], want[i]) for i in bad[:5]]
+    for i in range(0, u.size, max(1, u.size // 1000)):
+        assert _bits(abs(complex(u[i], v[i]))) == _bits(np.hypot(u[i], v[i]))
+
+
+def test_complex_abs_is_numpy_hypot_on_random_chart_offsets(rng):
+    # step_point and point_margin take the radius from abs(complex(u, v)),
+    # which calls the C library's hypot as np.hypot does; this guards that
+    # the two agree on this platform
+    n = 1_000_000
+    u = rng.uniform(-0.5, 0.5, n)
+    v = rng.uniform(-1.0, 1.0, n)
+    _assert_complex_abs_is_hypot(u, v)
+
+
+def test_complex_abs_is_numpy_hypot_at_the_edges(rng):
+    offsets = []
+    for disk in _disk_cases(rng).values():
+        pts = np.array(_ulp_rings(disk) + _ring(disk, 0.5 * disk.radius, [0]))
+        offsets += list(zip(*disk.chart_offsets(pts[:, 0], pts[:, 1])))
+    tiny = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+            1e-310, 3.5e-320, 0.5, -0.5, 1.0]
+    offsets += [(a, b) for a in tiny for b in tiny]
+    u, v = np.array(offsets).T
+    _assert_complex_abs_is_hypot(u, v)
+    # the sign of a zero does not leak into the radius
+    for a in (0.0, -0.0):
+        for b in (0.0, -0.0):
+            assert _bits(abs(complex(a, b))) == _bits(np.hypot(a, b)) == _bits(0.0)
+
+
+def test_point_margin_equals_kink_margin_bit_for_bit(rng):
+    for name, disk in _disk_cases(rng).items():
+        pts = _ulp_rings(disk) + _ring(disk, 0.5 * disk.radius, [0])
+        cx, cy = disk.center.x, disk.center.y
+        # across the x-wrap, and lifted by whole turns
+        pts += [(cx + 0.5 + d, cy) for d in (-1e-12, 0.0, 1e-12)]
+        pts += [(xt + k, y) for k in (-2.0, 1.0) for xt, y in pts[:40]]
+        for xt, y in pts:
+            got = disk.point_margin(xt, y)
+            assert type(got) is float
+            assert _bits(got) == _bits(disk.kink_margin(np.asarray(xt), np.asarray(y))), (name, xt, y)
+    assert RigidRotation(GOLDEN).point_margin(0.3, 0.5) is None
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_scalar_orbit_arrays_keep_their_contract_for_short_orbits(n, perturbed_rotation):
+    xs, ys = orbit_arrays(perturbed_rotation, 0.3, 0.55, n)
+    want_xs, want_ys = _numpy_point_orbit(perturbed_rotation, 0.3, 0.55, n)
+    for got, want in ((xs, want_xs), (ys, want_ys)):
+        assert got.shape == (n,) and got.dtype == np.float64 and got.flags.writeable
+        assert np.array_equal(got, want)
+        got[...] = 1.0
+    with pytest.raises(ValueError):
+        orbit_arrays(perturbed_rotation, 0.3, 0.55, -1)
+
+
+def _count_hypot(monkeypatch):
+    calls = []
+    hypot = np.hypot
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return hypot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "hypot", counted)
+    return calls
+
+
+def test_scalar_orbit_makes_no_numpy_hypot_call(monkeypatch, perturbed_rotation):
+    calls = _count_hypot(monkeypatch)
+    xs, ys = orbit_arrays(perturbed_rotation, 0.3, 0.55, 2_000)
+    assert calls == []
+    # the orbit enters the disk, so many of its steps took a radius
+    disk = perturbed_rotation.leaves()[0]
+    assert sum(disk.point_margin(x, y) < 0 for x, y in zip(xs.tolist(), ys.tolist())) > 100
+
+
+def test_segment_bisection_makes_no_numpy_hypot_call(monkeypatch, perturbed_rotation):
+    from annact.action import _bump_stage_margins, _segment_breakpoints
+    from annact.phase_space import LiftedPoint
+
+    m = Compose(perturbed_rotation, LocalDiskTwist.poly_bump(AnnulusPoint(0.0, 0.4), 0.3, -4.0))
+    dogleg = [LiftedPoint(0.0, 0.0), LiftedPoint(0.45, 0.8), LiftedPoint(1.3, 0.35)]
+    calls = _count_hypot(monkeypatch)
+    for a, b in zip(dogleg, dogleg[1:]):
+        del calls[:]
+        cuts = _segment_breakpoints(m, a, b)
+        scan_calls = list(calls)
+        del calls[:]
+        ts = np.linspace(0.0, 1.0, 513)
+        _bump_stage_margins(m, a.xt + ts * (b.xt - a.xt), np.clip(a.y + ts * (b.y - a.y), 0.0, 1.0))
+        # the 60 probes per cut run on floats: only the sign scan calls np.hypot,
+        # once per disk stage for its margins and once per disk step on the scan
+        assert cuts and scan_calls == calls
