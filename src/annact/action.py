@@ -29,7 +29,9 @@ from .phase_space import (
     LiftedPoint,
     OneForm,
     PolylinePath,
+    QuadratureSpec,
     ShiftedBeta,
+    line_integral,
 )
 from .quadrature import (
     action_descriptor,
@@ -37,7 +39,7 @@ from .quadrature import (
     integrate_unit_interval,
     tree_field_integral,
 )
-from .util import integrate_path_parameter, pairwise_sum
+from .util import pairwise_sum
 
 BIRKHOFF_N_ITER = 1_000_000
 BIRKHOFF_TOL = 1e-6
@@ -235,12 +237,30 @@ def _segment_breakpoints(m: MapExpr, a: LiftedPoint, b: LiftedPoint,
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
                 fm = margin(mid)
+                # a probe that moves neither bound leaves (lo, hi, flo) as they
+                # were, so every later probe would repeat it
                 if flo * fm <= 0:
+                    if mid == hi:
+                        break
                     hi = mid
+                elif mid == lo:
+                    break
                 else:
                     lo, flo = mid, fm
             cuts.append(0.5 * (lo + hi))
     return sorted(t for t in cuts if 1e-12 < t < 1.0 - 1e-12)
+
+
+class _PullbackForm(OneForm):
+    """f*beta - beta for the primitive beta = (y + c) dx, at lifted points."""
+
+    def __init__(self, m: MapExpr, c: float):
+        self.m, self.c = m, c
+
+    def coefficients(self, xt, y):
+        jac = self.m.jacobian(xt, y)
+        w = self.m.apply_lift(xt, y)[1] + self.c
+        return w * jac[..., 0, 0] - (y + self.c), w * jac[..., 0, 1]
 
 
 def action_function_via_path(m: MapExpr, ctx: ActionContext, p: AnnulusPoint,
@@ -250,38 +270,31 @@ def action_function_via_path(m: MapExpr, ctx: ActionContext, p: AnnulusPoint,
 
     Default path: the straight lifted segment from x0 to p (sheet 0). The
     integrand is closed, so any path with the same endpoint lifts gives the
-    same value; path_independence_defect measures exactly that. Each segment
-    is split where it crosses a disk-twist support circle, because the
+    same value; path_independence_defect measures exactly that. A given path
+    must start at a lift of the base point and end at a lift of p, within
+    1e-12 up to whole turns in x, or ValueError is raised. Each segment gets
+    a vertex where it crosses a disk-twist support circle, because the
     integrand is only C^1 there and quadrature would lose its order.
     """
     if path is None:
-        a = LiftedPoint(ctx.base_point.x, ctx.base_point.y)
-        b = LiftedPoint(p.x, p.y)
-        path = PolylinePath.straight(a, b)
-    c = ctx.shift
-    total = 0.0
+        if p == ctx.base_point:
+            return 0.0
+        path = PolylinePath.straight(ctx.base_point.lift(), p.lift())
+    for end, point in ((path.vertices[0], ctx.base_point), (path.vertices[-1], p)):
+        shift = end.xt - point.x
+        if abs(shift - round(shift)) > 1e-12 or abs(end.y - point.y) > 1e-12:
+            raise ValueError(f"path end ({end.xt}, {end.y}) is not a lift of "
+                             f"({point.x}, {point.y})")
+    vertices = [path.vertices[0]]
     for a, b in zip(path.vertices, path.vertices[1:]):
-        dx = b.xt - a.xt
-        dy = b.y - a.y
-
-        def integrand(t, a=a, dx=dx, dy=dy):
-            xt = a.xt + t * dx
-            y = np.clip(a.y + t * dy, 0.0, 1.0)
-            jac = m.jacobian(xt, y)
-            fx, fy = m.apply_lift(xt, y)
-            wx = jac[..., 0, 0] * dx + jac[..., 0, 1] * dy
-            return (fy + c) * wx - (y + c) * dx
-
-        knots = [0.0] + _segment_breakpoints(m, a, b) + [1.0]
-        for lo, hi in zip(knots, knots[1:]):
-            width = hi - lo
-
-            def piece(t, lo=lo, width=width):
-                return integrand(lo + t * width) * width
-
-            seg, _ = integrate_path_parameter(piece, tol=tol)
-            total += seg
-    return total
+        dx, dy = b.xt - a.xt, b.y - a.y
+        cuts = [LiftedPoint(a.xt + t * dx, min(max(a.y + t * dy, 0.0), 1.0))
+                for t in _segment_breakpoints(m, a, b)]
+        for v in cuts + [b]:  # coincident cuts of several stages give one vertex
+            if v != vertices[-1]:
+                vertices.append(v)
+    path = PolylinePath(tuple(vertices), path.refinement)
+    return line_integral(_PullbackForm(m, ctx.shift), path, QuadratureSpec(tol=tol))
 
 
 def path_independence_defect(m: MapExpr, ctx: ActionContext, p: AnnulusPoint,

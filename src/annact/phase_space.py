@@ -75,8 +75,9 @@ def lift(p: AnnulusPoint, sheet: int = 0) -> LiftedPoint:
 class PolylinePath:
     """A piecewise-straight path in lifted coordinates.
 
-    refinement is the maximum parameter length of a quadrature piece when the
-    path is integrated; it is halved during refinement passes.
+    refinement is the longest quadrature piece a segment starts with when
+    the path is integrated: a segment of length L starts with
+    ceil(L / refinement) pieces, and the piece count doubles from there.
     """
 
     vertices: tuple[LiftedPoint, ...]
@@ -114,8 +115,9 @@ class PolylinePath:
 class OneForm:
     """Base for 1-forms a(x, y) dx + b(x, y) dy on the annulus.
 
-    coefficients() is evaluated with x already reduced mod 1; along lifted
-    paths dx means d(x_lift).
+    line_integral passes coefficients() the lifted x of its path, not x mod 1,
+    so a form must be 1-periodic in x; along lifted paths dx means d(x_lift).
+    ExplicitField reduces x mod 1 itself before calling the user's functions.
     """
 
     def coefficients(self, x, y):
@@ -160,7 +162,7 @@ class ExplicitField(OneForm):
         self.claims_area_form = bool(claims_area_form)
 
     def coefficients(self, x, y):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(wrap_turn(x)[0], dtype=float)
         y = np.asarray(y, dtype=float)
         return np.asarray(self.a(x, y), dtype=float), np.asarray(self.b(x, y), dtype=float)
 
@@ -204,8 +206,7 @@ def line_integral(form: OneForm, path: PolylinePath, quad: QuadratureSpec | None
         dy = b.y - a.y
 
         def integrand(t, a=a, dx=dx, dy=dy):
-            xm, _ = wrap_turn(a.xt + t * dx)
-            ca, cb = form.coefficients(xm, np.clip(a.y + t * dy, 0.0, 1.0))
+            ca, cb = form.coefficients(a.xt + t * dx, np.clip(a.y + t * dy, 0.0, 1.0))
             return ca * dx + cb * dy
 
         pieces = max(1, int(np.ceil(float(np.hypot(dx, dy)) / path.refinement)))

@@ -90,6 +90,59 @@ def test_path_independence(rng, linear_twist):
     assert worst < 1e-8
 
 
+@pytest.mark.parametrize("base", [AnnulusPoint(0.0, 0.0), AnnulusPoint(0.3, 0.4)])
+def test_path_route_at_the_base_point(base, linear_twist):
+    ctx = ActionContext(base_point=base)
+    assert action_function_via_path(linear_twist, ctx, base) == 0.0
+    # a loop once around the annulus back to a lift of the base point
+    loop = PolylinePath((base.lift(), LiftedPoint(base.x + 0.6, 0.9), base.lift(1)))
+    assert path_independence_defect(linear_twist, ctx, base, loop) < 1e-12
+
+
+def test_path_route_rejects_paths_that_miss_their_ends(linear_twist):
+    target = AnnulusPoint(0.3, 0.9)
+    mid = LiftedPoint(0.9, 0.3)
+    good = action_function_via_path(linear_twist, CTX, target)
+    # whole turns in x are lifts of the same points
+    shifted = PolylinePath((LiftedPoint(-1.0, 0.0), mid, LiftedPoint(2.3, 0.9)))
+    assert action_function_via_path(linear_twist, CTX, target, shifted) == pytest.approx(good, abs=1e-10)
+    for start, end in [(LiftedPoint(0.1, 0.0), target.lift()),
+                       (LiftedPoint(0.0, 1e-9), target.lift()),
+                       (LiftedPoint(0.0, 0.0), LiftedPoint(0.3 + 1e-9, 0.9)),
+                       (LiftedPoint(0.0, 0.0), LiftedPoint(0.3, 0.8))]:
+        path = PolylinePath((start, mid, end))
+        with pytest.raises(ValueError, match="not a lift"):
+            action_function_via_path(linear_twist, CTX, target, path)
+        with pytest.raises(ValueError, match="not a lift"):
+            path_independence_defect(linear_twist, CTX, target, path)
+
+
+def test_path_route_through_coincident_cuts():
+    from annact.action import _segment_breakpoints
+
+    m = Iterate(LocalDiskTwist.poly_bump(AnnulusPoint(0.5, 0.5), 0.3, 2.0), 2)
+    a, b = LiftedPoint(0.0, 0.1), LiftedPoint(1.0, 0.9)
+    # both stages cross the one support circle at the same parameters
+    cuts = _segment_breakpoints(m, a, b)
+    assert len(cuts) == 4 and cuts[0] == cuts[1] and cuts[2] == cuts[3]
+    ctx = ActionContext(base_point=AnnulusPoint(0.0, 0.1))
+    target = AnnulusPoint(0.0, 0.9)
+    via = action_function_via_path(m, ctx, target, PolylinePath.straight(a, b))
+    assert via == pytest.approx(action_function(m, ctx, target), abs=5e-10)
+
+
+def test_path_route_under_a_shifted_primitive_and_base_point(rng):
+    ctx = ActionContext(ShiftedBeta(0.7), AnnulusPoint(0.3, 0.4))
+    for _ in range(6):
+        m = random_composition(rng)
+        p = AnnulusPoint(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
+        closed = action_function(m, ctx, p)
+        assert action_function_via_path(m, ctx, p) == pytest.approx(closed, abs=5e-10)
+        mid = LiftedPoint(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
+        dogleg = PolylinePath((ctx.base_point.lift(), mid, p.lift()))
+        assert action_function_via_path(m, ctx, p, dogleg) == pytest.approx(closed, abs=5e-10)
+
+
 def test_calabi_examples(linear_twist, golden_rotation, strong_bump):
     assert calabi(golden_rotation).value == 0.0
     cv = calabi(linear_twist)

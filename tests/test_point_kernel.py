@@ -303,3 +303,23 @@ def test_segment_bisection_makes_no_numpy_hypot_call(monkeypatch, perturbed_rota
         # the 60 probes per cut run on floats: only the sign scan calls np.hypot,
         # once per disk stage for its margins and once per disk step on the scan
         assert cuts and scan_calls == calls
+
+
+def test_segment_bisection_stops_when_the_bracket_stops_moving(monkeypatch, perturbed_rotation):
+    import annact.action as action
+    from annact.phase_space import LiftedPoint
+
+    m = Compose(perturbed_rotation, LocalDiskTwist.poly_bump(AnnulusPoint(0.0, 0.4), 0.3, -4.0))
+    dogleg = [LiftedPoint(0.0, 0.0), LiftedPoint(0.45, 0.8), LiftedPoint(1.3, 0.35)]
+    probe = action._point_stage_margin
+    probes = []
+
+    def counted(*args):
+        probes.append(args)
+        return probe(*args)
+
+    monkeypatch.setattr(action, "_point_stage_margin", counted)
+    cuts = sum(len(action._segment_breakpoints(m, a, b)) for a, b in zip(dogleg, dogleg[1:]))
+    # a full bisection is one probe at lo plus 60 halvings; the bracket of a
+    # float parameter stops shrinking well before that
+    assert cuts and len(probes) < 60 * cuts
