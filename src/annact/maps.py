@@ -730,14 +730,6 @@ class Iterate(MapExpr):
         return f"Iterate({self.base!r}, {self.k})"
 
 
-def compose_chain(factors: Iterable[MapExpr]) -> MapExpr | None:
-    """Compose primitive factors given in application order; None for empty."""
-    expr = None
-    for f in factors:
-        expr = f if expr is None else Compose(f, expr)
-    return expr
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------

@@ -2,19 +2,17 @@
 
 The scalar fields this library integrates (action functions and one-step lift
 displacements of maps in the closed algebra) are sums of leaf contributions
-composed with prefix maps. A contribution is a pointwise leaf field
-field(leaf, xt, y), read off the leaf's own closed forms (its step and its
-action), so each family's formulas live once, in maps.py; tree_field_integral
-only knows where each family's field is smooth. Smooth contributions are
-handled by spectral rules (Gauss-Legendre in y, and in chart radii; trapezoid
-in periodic angles). Local disk twists make the fields only C^1 across their
-chart circles, where tensor rules on the square lose their order; those
-contributions are instead integrated in polar charts around the support
-disks, where the integrands are smooth again.
-
-Changing variables into a chart uses the numerically evaluated Jacobian
-determinant of the inverse prefix map (a value near 1 for this algebra, but
-computed, not assumed), so no measure-invariance property is taken on faith.
+composed with prefix maps. Every prefix is area preserving, so each
+contribution integrates to its leaf field's own integral over the annulus
+(the additivity of the Calabi invariant) and tree_field_integral sums those.
+A leaf field field(leaf, xt, y) is read off the leaf's own closed forms (its
+step and its action), so each family's formulas live once, in maps.py;
+tree_field_integral only knows where each family's field is smooth. Smooth
+fields are handled by spectral rules (Gauss-Legendre in y, and in chart
+radii; trapezoid in periodic angles). A local disk twist's field is only C^1
+across its chart circle, where tensor rules on the square lose their order,
+so it is integrated in the polar chart around its support disk, where the
+integrand is smooth again.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .maps import LocalDiskTwist, MapExpr, RigidRotation, Twist, compose_chain
+from .maps import LocalDiskTwist, MapExpr, RigidRotation, Twist
 from .util import gauss_nodes_unit, pairwise_sum, refine_by_doubling
 
 
@@ -67,9 +65,9 @@ def polar_disk_integral(fn_chart: Callable, R: float, tol: float = 1e-10,
 def tensor_annulus_integral(fn: Callable, tol: float = 1e-9, n0: int = 32,
                             max_doublings: int = 6) -> tuple[float, float]:
     """Plain tensor rule over the annulus: trapezoid in the periodic x
-    direction, Gauss-Legendre in y. Spectral for globally smooth fields; used
-    as the generic fallback and for cross-checks, not for fields with chart
-    kinks (those go through the polar path).
+    direction, Gauss-Legendre in y. Spectral for globally smooth fields; an
+    independent oracle for cross-checks of tree_field_integral, not fit for
+    fields with chart kinks (those go through the polar path).
     """
     def rule(scale):
         n = n0 * scale
@@ -99,83 +97,37 @@ def action_descriptor(leaf: MapExpr, xt, y):
     return leaf.action(xt, y)
 
 
-def _inverse_jacobian_factor(prefix: MapExpr | None):
-    """|det D(prefix^-1)| as a vectorized field of annulus coordinates."""
-    if prefix is None:
-        return lambda x, y: 1.0
-    inv = prefix.inverse()
-
-    def factor(x, y):
-        jac = inv.jacobian(x, y)
-        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-        return np.abs(det)
-
-    return factor
-
-
-def _chart_integral(fn: Callable, disk: LocalDiskTwist, tol: float) -> tuple[float, float]:
-    """Integral of fn(x, y) over the support disk of a disk twist, in its
-    polar chart."""
-    cx, cy = disk.center.x, disk.center.y
-    return polar_disk_integral(
-        lambda r, theta: fn(cx + r * np.cos(theta), cy + r * np.sin(theta)), disk.radius, tol=tol)
-
-
 def tree_field_integral(m: MapExpr, field: Callable, tol: float = 1e-9) -> tuple[float, float]:
     """Integrate sum_j field(f_j, F_j(z)) over the annulus, where the leaves f_j
     of m are applied in order, F_j = f_{j-1} o ... o f_1, and field(leaf, xt, y)
     is a pointwise leaf field (action_descriptor, displacement_descriptor).
 
-    The only family dispatch of the engine is here, by the shape each family's
-    field has:
+    Each prefix F_j preserves area, so the integral of field(f_j, F_j(z)) is
+    the integral of field(f_j, z) and the prefixes drop out exactly. The only
+    family dispatch of the engine is here, by the shape each family's field
+    has:
       rigid rotation -> a constant (the annulus has unit area).
-      twist          -> a function of y alone: base integral over y, plus one
-                        polar-chart correction per disk twist in the prefix
-                        (telescoping the prefix stage by stage; y-preserving
-                        stages drop out exactly).
+      twist          -> a function of y alone: Gauss-Legendre over y.
       disk twist     -> supported in its chart disk: polar-chart integral over
-                        the disk, with the numerically evaluated
-                        inverse-prefix Jacobian determinant as density.
+                        the disk.
 
     Returns (value, accumulated increment estimate).
     """
-    leaves = m.leaves()
     total = 0.0
     err = 0.0
-    for j, leaf in enumerate(leaves):
+    for leaf in m.leaves():
         if isinstance(leaf, RigidRotation):
             total += float(field(leaf, 0.0, 0.0))
             continue
         if isinstance(leaf, Twist):
-            def fn_y(y, leaf=leaf):
-                return field(leaf, 0.0, y)
-
-            parts = [integrate_unit_interval(fn_y, tol=tol)]
-            parts += [_bump_stage_correction(fn_y, b, compose_chain(leaves[:i]), tol)
-                      for i, b in enumerate(leaves[:j]) if isinstance(b, LocalDiskTwist)]
+            v, e = integrate_unit_interval(lambda y: field(leaf, 0.0, y), tol=tol)
         elif isinstance(leaf, LocalDiskTwist):
-            jac_factor = _inverse_jacobian_factor(compose_chain(leaves[:j]))
-
-            def chart_fn(x, y, leaf=leaf, jac_factor=jac_factor):
-                return field(leaf, x, y) * jac_factor(x, y)
-
-            parts = [_chart_integral(chart_fn, leaf, tol)]
+            cx, cy = leaf.center.x, leaf.center.y
+            v, e = polar_disk_integral(
+                lambda r, theta: field(leaf, cx + r * np.cos(theta), cy + r * np.sin(theta)),
+                leaf.radius, tol=tol)
         else:
             raise TypeError(f"not a primitive map factor: {leaf!r}")
-        for v, e in parts:
-            total += v
-            err += e
+        total += v
+        err += e
     return total, err
-
-
-def _bump_stage_correction(fn_y: Callable, bump: LocalDiskTwist,
-                           prefix: MapExpr | None, tol: float) -> tuple[float, float]:
-    """Chart integral of f(y after the bump) - f(y before) over the bump disk,
-    weighted by the inverse-prefix Jacobian determinant."""
-    jac_factor = _inverse_jacobian_factor(prefix)
-
-    def chart_fn(x, y):
-        y_after = bump.step(x, y)[1]
-        return (fn_y(y_after) - fn_y(y)) * jac_factor(x, y)
-
-    return _chart_integral(chart_fn, bump, tol)

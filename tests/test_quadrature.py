@@ -96,15 +96,37 @@ def test_overlapping_bump_composition():
 
 
 def test_jacobian_density_is_really_computed(rng):
-    # the chart change of variables evaluates |det D(prefix^-1)| pointwise;
-    # for this algebra it must come out 1 to machine precision
-    from annact.quadrature import _inverse_jacobian_factor
+    # the leaf sum of tree_field_integral rests on every prefix preserving
+    # area: |det D(m^-1)| must come out 1 to machine precision
     from conftest import random_composition
 
     for _ in range(5):
         m = random_composition(rng)
-        factor = _inverse_jacobian_factor(m)
         xs = rng.uniform(0, 1, size=100)
         ys = rng.uniform(0, 1, size=100)
-        vals = np.asarray(factor(xs, ys))
+        vals = np.abs(np.linalg.det(m.inverse().jacobian(xs, ys)))
         assert np.max(np.abs(vals - 1.0)) < 1e-10
+
+
+def test_mean_values_take_no_prefix_jacobian(monkeypatch):
+    # each leaf's field integrates over the annulus on its own, with no
+    # change of variables through the leaves applied before it
+    from annact import MapExpr
+    from annact.action import calabi
+    from annact.rotation import mean_rotation_area
+
+    calls = []
+    lift_with_jacobian = MapExpr.lift_with_jacobian
+
+    def counted(self, *args):
+        calls.append(self)
+        return lift_with_jacobian(self, *args)
+
+    monkeypatch.setattr(MapExpr, "lift_with_jacobian", counted)
+    tw = Twist(PolyBumpProfile(0.9))
+    bump = LocalDiskTwist.poly_bump((0.37, 0.52), 0.3, 4.2)
+    for comp in (Compose(tw, bump), Compose(bump, tw)):
+        calabi(comp)
+        mean_rotation_area(comp)
+        tree_field_integral(comp, action_descriptor)
+    assert calls == []
