@@ -33,12 +33,7 @@ from .phase_space import (
     ShiftedBeta,
     line_integral,
 )
-from .quadrature import (
-    action_descriptor,
-    displacement_descriptor,
-    integrate_unit_interval,
-    tree_field_integral,
-)
+from .quadrature import tree_field_integral
 from .util import pairwise_sum
 
 BIRKHOFF_N_ITER = 1_000_000
@@ -309,40 +304,34 @@ def path_independence_defect(m: MapExpr, ctx: ActionContext, p: AnnulusPoint,
 # mean action (Calabi invariant) and measure actions
 # ---------------------------------------------------------------------------
 
-def calabi(m: MapExpr, ctx: ActionContext | None = None, tol: float = 1e-9) -> ActionValue:
+def calabi(m: MapExpr, ctx: ActionContext | None = None) -> ActionValue:
     """Mean action of m: the integral of the normalized action function over
-    the unit-area annulus, via the leaf-field quadrature engine."""
+    the unit-area annulus, from the exact leaf means, with error 0."""
     ctx = ctx or ActionContext.default()
-    value, err = tree_field_integral(m, action_descriptor, tol=tol)
+    value, disp = tree_field_integral(m)
     x0, y0 = ctx.base_point.x, ctx.base_point.y
     value -= float(action_values_raw(m, x0, y0))
     c = ctx.shift
     if c != 0.0:
-        disp, derr = tree_field_integral(m, displacement_descriptor, tol=tol)
         value += c * (disp - float(displacement_values(m, x0, y0)))
-        err += abs(c) * derr
-    return ActionValue(value, err)
+    return ActionValue(value, 0.0)
 
 
-def disk_twist_mean_action(profile, tol: float = 1e-10) -> ActionValue:
+def disk_twist_mean_action(profile) -> ActionValue:
     """Mean action of the radial twist (r, theta) -> (r, theta + phi(r)) on the
     unit disk, in the disk's own conventions: normalized area form
     (1/pi) r dr dtheta with primitive (1/(2 pi)) r^2 dtheta.
 
     The action function is g(r) = (1/(2 pi)) * integral_1^r s^2 phi'(s) ds,
     i.e. -action_radial(r)/pi in this library's chart normalization, and the
-    mean action is 2 * integral_0^1 r g(r) dr. For decreasing profiles with
-    phi(1) = 0 the result is strictly positive: the disk orientation is
-    opposite to the annulus embedding's dy ^ dx.
+    mean action is 2 * integral_0^1 r g(r) dr = (2/pi) * profile.moment(), by
+    parts, exact with error 0. For decreasing profiles with phi(1) = 0 the
+    result is strictly positive: the disk orientation is opposite to the
+    annulus embedding's dy ^ dx.
     """
     if abs(profile.R - 1.0) > 1e-12:
         raise ValueError("disk convention requires a profile supported on [0, 1]")
-
-    def integrand(r):
-        return 2.0 * r * (-np.asarray(profile.action_radial(r)) / np.pi)
-
-    value, err = integrate_unit_interval(integrand, tol=tol)
-    return ActionValue(value, err)
+    return ActionValue(2.0 * profile.moment() / np.pi, 0.0)
 
 
 def birkhoff_average(values: np.ndarray) -> tuple[float, float]:
@@ -368,8 +357,8 @@ def measure_action(m: MapExpr, ctx: ActionContext, mu: MeasureSpec,
     measures use Birkhoff averages along true orbits, the first n_iter points
     of empirical_orbit, which the rotation number reuses (raising
     NonConvergentError when the tail fluctuation stays above tol at n_iter);
-    the area measure delegates to the mean-action quadrature; orbit measures
-    are exact finite averages.
+    the area measure delegates to calabi, exact with error 0; orbit
+    measures are exact finite averages.
     """
     if mu.variant == "area":
         return calabi(m, ctx)
@@ -417,15 +406,14 @@ def _orbit_arrays(m: MapExpr, seed: AnnulusPoint, n: int):
     return xs[:n], ys[:n]
 
 
-def additivity_defect(m1: MapExpr, m2: MapExpr, ctx: ActionContext | None = None,
-                      tol: float = 1e-9) -> float:
+def additivity_defect(m1: MapExpr, m2: MapExpr, ctx: ActionContext | None = None) -> float:
     """|A(m2 o m1) - A(m1) - A(m2)| with the base-point convention built in."""
     from .maps import Compose
 
     ctx = ctx or ActionContext.default()
-    both = calabi(Compose(m2, m1), ctx, tol=tol)
-    first = calabi(m1, ctx, tol=tol)
-    second = calabi(m2, ctx, tol=tol)
+    both = calabi(Compose(m2, m1), ctx)
+    first = calabi(m1, ctx)
+    second = calabi(m2, ctx)
     return abs(both.value - first.value - second.value)
 
 

@@ -7,17 +7,18 @@ preserves both boundary circles, has unit Jacobian determinant, and carries the
 canonical lift that is continuous in parameters and reduces to the identity at
 zero parameters.
 
-Each primitive leaf implements two methods. step(xt, y, with_jacobian) ->
+Each primitive leaf implements three methods. step(xt, y, with_jacobian) ->
 (xt', y', D) computes the leaf's intermediate quantities (chart offsets,
 radius, rotation) once and forms the differential D from them only when asked;
 D is None when not asked or when the differential is the identity.
 action(xt, y) is the leaf's closed-form action function for beta = y dx,
 zero on the lower boundary: 0 for a rotation, the profile potential for a
-twist, the chart formula for a disk twist. Composition and iteration only
-record their leaves, in application order. apply_lift, jacobian and the fused
-lift_with_jacobian are each one forward pass over leaves(), and orbit_arrays
-iterates that pass along orbits; the action function of a tree
-(action.action_values_raw) and the mean-action quadrature
+twist, the chart formula for a disk twist. mean_values() is the leaf's mean
+action and mean displacement, exact moments of its profile. Composition and
+iteration only record their leaves, in application order. apply_lift,
+jacobian and the fused lift_with_jacobian are each one forward pass over
+leaves(), and orbit_arrays iterates that pass along orbits; the action
+function of a tree (action.action_values_raw) and the leaf-mean sum
 (quadrature.tree_field_integral) walk the same leaves.
 
 step, apply_lift and the routines built on them are vectorized over numpy
@@ -53,6 +54,17 @@ import numpy as np
 
 from .errors import ConfigError
 from .phase_space import AnnulusPoint, LiftedPoint, wrap_turn
+from .util import gauss_nodes_unit
+
+
+def _knot_rule(knots) -> tuple[np.ndarray, np.ndarray]:
+    """4-point Gauss-Legendre nodes and weights on each knot interval: exact
+    for piecewise polynomials of degree <= 7, as every built-in moment
+    integrand is (a profile of degree <= 4 times a weight of degree <= 3)."""
+    x, w = gauss_nodes_unit(4)
+    a = np.asarray(knots[:-1], dtype=float)[:, None]
+    h = np.diff(np.asarray(knots, dtype=float))[:, None]
+    return (a + h * x).ravel(), (h * w).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +77,11 @@ class TwistProfile:
     potential(y) is the integral of s * phi'(s) over [0, y]; it is the action
     function of the twist with beta = y dx and base point on the lower boundary.
     A closed-form phi is one expression for floats and float arrays, so the
-    point pass and the array pass evaluate the same formula.
+    point pass and the array pass evaluate the same formula. phi is a
+    polynomial between consecutive knots.
     """
+
+    knots = (0.0, 1.0)
 
     def phi(self, y):
         raise NotImplementedError
@@ -76,6 +91,13 @@ class TwistProfile:
 
     def potential(self, y):
         raise NotImplementedError
+
+    def moments(self) -> tuple[float, float]:
+        """(int_0^1 (2y - 1) phi, int_0^1 phi): the twist's mean action and
+        mean displacement. The first is the mean of potential, by parts."""
+        y, w = _knot_rule(self.knots)
+        wphi = w * self.phi(y)
+        return math.fsum(wphi * (2.0 * y - 1.0)), math.fsum(wphi)
 
     def negated(self) -> "TwistProfile":
         return _NegatedTwistProfile(self)
@@ -150,6 +172,7 @@ class TabulatedProfile(TwistProfile):
 
         self._ys = ys
         self._phis = phis
+        self.knots = ys
         self._spline = CubicSpline(ys, phis)
         self._dspline = self._spline.derivative()
         self._antider = self._spline.antiderivative()
@@ -174,6 +197,7 @@ class TabulatedProfile(TwistProfile):
 class _NegatedTwistProfile(TwistProfile):
     def __init__(self, base: TwistProfile):
         self._base = base
+        self.knots = base.knots
 
     def phi(self, y):
         return -self._base.phi(y)
@@ -205,10 +229,17 @@ class RadialProfile:
     rotation-invariant part of the twist's action function in its chart, zero
     at the support edge. With the annulus orientation omega = dy ^ dx it is
     nonpositive for phi >= 0, phi' <= 0. A closed-form phi takes floats as
-    well as float arrays, as TwistProfile.phi does.
+    well as float arrays, as TwistProfile.phi does. phi is a polynomial
+    between consecutive knots, the first 0 and the last R.
     """
 
     R: float
+
+    def moment(self) -> float:
+        """int_0^R r^3 phi(r) dr. By parts (phi(R) = 0), the integral of
+        action_radial over the chart disk is -2 pi times it."""
+        r, w = _knot_rule(self.knots)
+        return math.fsum(w * r**3 * self.phi(r))
 
     def phi(self, r):
         raise NotImplementedError
@@ -251,6 +282,7 @@ class PolyBumpRadial(RadialProfile):
             raise ValueError("chart radius must be positive")
         self.c = float(c)
         self.R = float(R)
+        self.knots = (0.0, self.R)
 
     def phi(self, r):
         t = 1.0 - (r / self.R) ** 2
@@ -288,15 +320,19 @@ class TabulatedRadial(RadialProfile):
             raise ValueError("radial samples must start at r = 0")
         if abs(phis[-1]) > 1e-10:
             raise ValueError("radial profile must vanish at the support edge")
-        from scipy.interpolate import CubicSpline
+        from scipy.interpolate import CubicSpline, PPoly
 
         self.R = float(rs[-1])
         self._rs = rs
         self._phis = phis
+        self.knots = rs
         self._spline = CubicSpline(rs, phis, bc_type=((1, 0.0), (1, 0.0)))
         self._dspline = self._spline.derivative()
-        # antiderivative of s * phi(s), for action_radial by parts
-        self._sphi_antider = CubicSpline(rs, rs * phis).antiderivative()
+        # antiderivative of s * phi(s), for action_radial by parts: on each
+        # interval s = r_i + t times the spline's cubic in t is a quartic in t
+        c = self._spline.c
+        sphi = np.vstack([c[:1], c[1:] + rs[:-1] * c[:-1], rs[:-1] * c[3:]])
+        self._sphi_antider = PPoly(sphi, rs).antiderivative()
 
     def phi(self, r):
         return self._spline(np.asarray(r, dtype=float))
@@ -321,6 +357,7 @@ class _NegatedRadialProfile(RadialProfile):
     def __init__(self, base: RadialProfile):
         self._base = base
         self.R = base.R
+        self.knots = base.knots
 
     def phi(self, r):
         return -self._base.phi(r)
@@ -339,6 +376,9 @@ class _NegatedRadialProfile(RadialProfile):
 
     def to_config(self):
         return {"kind": "negated", "base": self._base.to_config()}
+
+    def __repr__(self):
+        return f"negated({self._base!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +407,11 @@ class MapExpr:
     def action(self, xt, y):
         """One leaf's closed-form action function g, dg = f*beta - beta with
         beta = y dx, normalized to vanish on the lower boundary."""
+        raise NotImplementedError
+
+    def mean_values(self) -> tuple[float, float]:
+        """(mean action, mean displacement) of one leaf over the unit-area
+        annulus: the integrals of action and of step's x-displacement."""
         raise NotImplementedError
 
     def kink_margin(self, xt, y):
@@ -468,6 +513,9 @@ class RigidRotation(MapExpr):
         # a rotation pulls beta back to itself
         return np.zeros(np.broadcast_shapes(np.shape(xt), np.shape(y)))
 
+    def mean_values(self):
+        return 0.0, self.a
+
     def inverse(self):
         return RigidRotation(-self.a)
 
@@ -500,6 +548,9 @@ class Twist(MapExpr):
 
     def action(self, xt, y):
         return self.profile.potential(y)
+
+    def mean_values(self):
+        return self.profile.moments()
 
     def inverse(self):
         return Twist(self.profile.negated())
@@ -652,6 +703,11 @@ class LocalDiskTwist(MapExpr):
             cy = self.center.y
             g[rows] = self.profile.action_radial(r) + u1 * (0.5 * v1 + cy) - u * (0.5 * v + cy)
         return g.reshape(shape)
+
+    def mean_values(self):
+        # the chart terms S o h - S and u o h - u integrate to 0 over the
+        # disk, which h maps onto itself preserving area
+        return -2.0 * math.pi * self.profile.moment(), 0.0
 
     def kink_margin(self, xt, y):
         u, v = self.chart_offsets(xt, y)

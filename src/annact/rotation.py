@@ -4,8 +4,8 @@ All rotation quantities are scalars in turns per iterate: the annulus reduces
 the rotation vector to the pairing with dx, i.e. the average x-advance in the
 universal cover. A measure's rotation number is the mean of the one-step lift
 displacement, read as measure_action reads the mean of the action function:
-exact on boundary circles and orbits, by quadrature for the area measure
-(whose invariance makes it equal to the long-orbit average), and by the same
+exact on boundary circles, on orbits and for the area measure (whose
+invariance makes it equal to the long-orbit average), and by the same
 Birkhoff estimator over the measure's own orbit for empirical measures. That
 orbit is action.empirical_orbit, the one measure_action averages g over, so
 an empirical measure's action and rotation number cost one orbit pass.
@@ -26,7 +26,7 @@ from .action import (
 )
 from .maps import MapExpr, RigidRotation, Twist, boundary_circle_map
 from .phase_space import AnnulusPoint
-from .quadrature import displacement_descriptor, tree_field_integral
+from .quadrature import tree_field_integral
 from .util import wrap_turn
 
 ROTATION_TOL = 1e-6
@@ -95,11 +95,10 @@ def boundary_rotation_number(m: MapExpr, which: str) -> RotationValue:
     return RotationValue(bcm.displacement, 0.0, exact=True)
 
 
-def mean_rotation_area(m: MapExpr, tol: float = 1e-9) -> RotationValue:
+def mean_rotation_area(m: MapExpr) -> RotationValue:
     """Mean rotation number of the area measure: the integral of the one-step
-    lift displacement over the unit-area annulus."""
-    value, err = tree_field_integral(m, displacement_descriptor, tol=tol)
-    return RotationValue(value, err, exact=False)
+    lift displacement over the unit-area annulus, from the exact leaf means."""
+    return RotationValue(tree_field_integral(m)[1], 0.0, exact=True)
 
 
 def measure_rotation(m: MapExpr, mu: MeasureSpec, n_iter: int = 100_000) -> RotationValue:

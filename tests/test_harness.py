@@ -148,8 +148,8 @@ def test_example_pipeline(perturbed_rotation):
 
 
 def test_example_pipeline_takes_each_mean_action_once(monkeypatch):
-    # the twist's mean action serves the rationality probe and the
-    # additivity check; only verify_theorem's area measure repeats one
+    # the disk twist's mean action serves the degeneracy check and the
+    # rationality probe; only verify_theorem's area measure repeats one
     import annact.action as action_mod
     from annact.cli import render_report_json
     from annact.harness import local_perturbation_map

@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from annact import AnnulusPoint, Compose, LocalDiskTwist, NonConvergentError, Twist
+from annact import AnnulusPoint, Compose, LocalDiskTwist, Twist
 from annact import PolyBumpProfile
 from annact.action import ActionContext, action_function_values, displacement_values
-from annact.quadrature import (
-    action_descriptor,
-    displacement_descriptor,
-    integrate_unit_interval,
-    polar_disk_integral,
-    tensor_annulus_integral,
-    tree_field_integral,
-)
+from annact.quadrature import tensor_annulus_integral, tree_field_integral
 from annact.util import pairwise_sum, wrap_turn
 
 
@@ -34,21 +27,6 @@ def test_wrap_turn_edges():
     assert frac == 0.25 and w == 2
 
 
-def test_integrate_unit_interval():
-    val, err = integrate_unit_interval(lambda y: y**7, tol=1e-12)
-    assert val == pytest.approx(1 / 8, abs=1e-13)
-    with pytest.raises(NonConvergentError):
-        integrate_unit_interval(lambda y: np.abs(y - 0.3127) ** 0.3, tol=1e-13,
-                                n0=8, max_doublings=3)
-
-
-def test_polar_disk_integral():
-    # int over the disk of r^2 with measure r dr dtheta = 2 pi R^4 / 4
-    R = 0.35
-    val, err = polar_disk_integral(lambda r, t: r**2, R, tol=1e-12)
-    assert val == pytest.approx(2 * np.pi * R**4 / 4, abs=1e-12)
-
-
 def test_tensor_annulus_integral_smooth():
     val, _ = tensor_annulus_integral(
         lambda x, y: np.sin(2 * np.pi * x) ** 2 * y, tol=1e-11)
@@ -56,28 +34,28 @@ def test_tensor_annulus_integral_smooth():
 
 
 def test_tree_field_integral_against_dblquad():
-    # composite with a bump inside a twist: chart corrections do real work here
+    # composite with a bump inside a twist: the tree fields read the twist's
+    # field through the bump, which the sum of the two leaf means must absorb
     bump = LocalDiskTwist.poly_bump(AnnulusPoint(0.37, 0.52), 0.3, 4.2)
     tw = Twist(PolyBumpProfile(0.9))
     comp = Compose(tw, bump)
     ctx = ActionContext.default()
 
-    engine, _ = tree_field_integral(comp, action_descriptor, tol=1e-10)
+    action, displacement = tree_field_integral(comp)
     oracle, otol = integrate.dblquad(
         lambda y, x: float(action_function_values(comp, ctx, x, y)),
         0, 1, 0, 1, epsabs=1e-9, epsrel=1e-9)
-    assert engine == pytest.approx(oracle, abs=max(1e-8, 10 * otol))
+    assert action == pytest.approx(oracle, abs=max(1e-8, 10 * otol))
 
-    engine, _ = tree_field_integral(comp, displacement_descriptor, tol=1e-10)
     oracle, otol = integrate.dblquad(
         lambda y, x: float(displacement_values(comp, x, y)),
         0, 1, 0, 1, epsabs=1e-9, epsrel=1e-9)
-    assert engine == pytest.approx(oracle, abs=max(1e-8, 10 * otol))
+    assert displacement == pytest.approx(oracle, abs=max(1e-8, 10 * otol))
 
 
 def test_overlapping_bump_composition():
-    # overlapping support disks: the telescoping decomposition still keeps
-    # every chart integrand smooth, so the engine stays at quadrature accuracy
+    # overlapping support disks: the leaf means still add up to the mean of
+    # the tree's action function
     from annact import Compose, RigidRotation
     from annact.action import additivity_defect
 
@@ -85,7 +63,7 @@ def test_overlapping_bump_composition():
     b2 = LocalDiskTwist.poly_bump(AnnulusPoint(0.62, 0.55), 0.28, -5.0)
     m = Compose(RigidRotation(0.37), Compose(b2, Compose(Twist(PolyBumpProfile(0.8)), b1)))
     ctx = ActionContext.default()
-    engine, _ = tree_field_integral(m, action_descriptor, tol=1e-10)
+    engine, _ = tree_field_integral(m)
 
     n = 1200
     xs = (np.arange(n) + 0.5) / n
@@ -128,5 +106,5 @@ def test_mean_values_take_no_prefix_jacobian(monkeypatch):
     for comp in (Compose(tw, bump), Compose(bump, tw)):
         calabi(comp)
         mean_rotation_area(comp)
-        tree_field_integral(comp, action_descriptor)
+        tree_field_integral(comp)
     assert calls == []
