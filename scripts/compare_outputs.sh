@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# Compare annact's outputs at a git revision with those of the working tree.
+#
+# Usage: scripts/compare_outputs.sh [REV]    (REV defaults to HEAD)
+#
+# Extracts REV with `git archive` into a temporary directory and runs the same
+# commands with each source tree (inputs always come from the working tree):
+# the README `verify` reports, `example41` at c = 50.85 and at c = 10.5 with
+# --q-max 27, the grid-192 (6, 4) census CSV, `audit --trials 200 --seed 11`,
+# `action` and `rotation` on two maps, and the raw results of the bench
+# `invariants` workload at seeds 0, 1 and 2. Exits 1 on any difference.
+set -euo pipefail
+rev=${1:-HEAD}
+root=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/rev"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/rev"
+readme="rigid:a=0.6180339887*disk:cx=0.5,cy=0.5,R=0.35,c=50.85"
+twist_disk="twist:bump,c=0.9*disk:cx=0.37,cy=0.52,R=0.3,c=4.2"
+ex41=(example41 --a 0.6180339887 --center 0.5,0.5 --radius 0.35)
+
+run_set() {  # run_set TREE OUT: the outputs of TREE's annact, written under OUT
+  local tree=$1 out=$2
+  cli() { PYTHONPATH="$tree/src" python3 -m annact.cli "$@"; }
+  mkdir -p "$out"
+  cli verify --config "$root/bench/inputs/readme_config.json" --out-dir "$out/verify" > /dev/null
+  cli "${ex41[@]}" --c 50.85 --out-dir "$out/example41_c50.85" > /dev/null
+  cli "${ex41[@]}" --c 10.5 --q-max 27 --out-dir "$out/example41_c10.5" > /dev/null
+  cli orbits --map "$readme" --q 6 --p 4 --grid 192 --out "$out/census_192.csv" > /dev/null
+  cli audit --trials 200 --seed 11 > "$out/audit.txt"
+  for m in "$readme" "$twist_disk"; do
+    cli action --map "$m" --point 0.5,0.5
+    cli rotation --map "$m"
+  done > "$out/action_rotation.txt"
+  PYTHONPATH="$tree/src:$root/bench" python3 - "$out.work" > "$out/invariants.txt" <<'PY'
+import pathlib, sys, workloads
+for seed in (0, 1, 2):
+    inputs = workloads.make_inputs("invariants", seed, pathlib.Path(sys.argv[1]))
+    print(repr(workloads.run_instance("invariants", inputs)))
+PY
+}
+
+run_set "$tmp/rev" "$tmp/out_rev"
+run_set "$root" "$tmp/out_tree"
+diff -rq "$tmp/out_rev" "$tmp/out_tree" || exit 1
+echo "outputs of $rev and of the working tree are byte-identical"

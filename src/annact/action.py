@@ -29,14 +29,13 @@ from .phase_space import (
     LiftedPoint,
     OneForm,
     PolylinePath,
-    QuadratureSpec,
     ShiftedBeta,
     line_integral,
 )
 from .quadrature import tree_field_integral
 from .util import pairwise_sum
 
-BIRKHOFF_N_ITER = 1_000_000
+BIRKHOFF_N_ITER = 100_000
 BIRKHOFF_TOL = 1e-6
 # largest |F^q(z) - z - (p, 0)| at which a periodic orbit counts as certified
 CERTIFIED_RESIDUAL = 1e-9
@@ -125,7 +124,7 @@ class MeasureSpec:
         return MeasureSpec("orbit", orbit=orbit)
 
     @staticmethod
-    def empirical(seed: AnnulusPoint, n_iter: int = 100_000) -> "MeasureSpec":
+    def empirical(seed: AnnulusPoint, n_iter: int = BIRKHOFF_N_ITER) -> "MeasureSpec":
         return MeasureSpec("empirical", seed=seed, n_iter=n_iter)
 
     def describe(self) -> str:
@@ -259,8 +258,7 @@ class _PullbackForm(OneForm):
 
 
 def action_function_via_path(m: MapExpr, ctx: ActionContext, p: AnnulusPoint,
-                             path: PolylinePath | None = None,
-                             tol: float = 1e-10) -> float:
+                             path: PolylinePath | None = None) -> float:
     """g(p) by integrating f*beta - beta along a lifted path from the base point.
 
     Default path: the straight lifted segment from x0 to p (sheet 0). The
@@ -289,14 +287,14 @@ def action_function_via_path(m: MapExpr, ctx: ActionContext, p: AnnulusPoint,
             if v != vertices[-1]:
                 vertices.append(v)
     path = PolylinePath(tuple(vertices), path.refinement)
-    return line_integral(_PullbackForm(m, ctx.shift), path, QuadratureSpec(tol=tol))
+    return line_integral(_PullbackForm(m, ctx.shift), path)
 
 
 def path_independence_defect(m: MapExpr, ctx: ActionContext, p: AnnulusPoint,
-                             alternate_path: PolylinePath, tol: float = 1e-10) -> float:
+                             alternate_path: PolylinePath) -> float:
     """|g via the straight path - g via alternate_path|; closedness check."""
-    straight = action_function_via_path(m, ctx, p, tol=tol)
-    alternate = action_function_via_path(m, ctx, p, path=alternate_path, tol=tol)
+    straight = action_function_via_path(m, ctx, p)
+    alternate = action_function_via_path(m, ctx, p, path=alternate_path)
     return abs(straight - alternate)
 
 
@@ -391,7 +389,7 @@ def empirical_orbit(m: MapExpr, seed: AnnulusPoint, n: int) -> tuple[np.ndarray,
 
     The memo keeps the last two orbits: enough for verify_theorem's order
     a1, a2, r1, r2 with two empirical measures, at 32 (n + 1) bytes each
-    (0.64 MB at n = 2e4, 32 MB at the default n = 1e6). A map hashes by
+    (0.64 MB at n = 2e4, 3.2 MB at the default n = 1e5). A map hashes by
     identity, so only the same map object hits; an equal map built again
     steps its orbit anew.
     """

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .action import (
+    BIRKHOFF_N_ITER,
     ActionContext,
     MeasureSpec,
     action_function,
@@ -495,7 +496,7 @@ def cmd_rotation(args) -> int:
     print(f"rotation[lower] = {lo.value!r} (err {lo.error_estimate!r}, exact={lo.exact})")
     print(f"rotation[upper] = {hi.value!r} (err {hi.error_estimate!r}, exact={hi.exact})")
     print(f"rotation[area]  = {ar.value!r} (err {ar.error_estimate!r})")
-    defect = lemma_boundary_identity_defect(m, n_iter=args.n_iter)
+    defect = lemma_boundary_identity_defect(m)
     print(f"boundary identity defect = {defect!r}")
     return EXIT_OK
 
@@ -530,7 +531,7 @@ def cmd_verify(args) -> int:
     ctx = _context_from_config(cfg)
     search = _search_from_config(cfg)
     task = cfg.get("task", {})
-    n_iter = task.get("n_iter", 100_000)
+    n_iter = task.get("n_iter", BIRKHOFF_N_ITER)
     mu1 = _measure_from_config(cfg["measures"]["mu1"], m, search, n_iter)
     mu2 = _measure_from_config(cfg["measures"]["mu2"], m, search, n_iter)
     rep = verify_theorem(m, mu1, mu2, q_max=task.get("q_max"), cfg=search, ctx=ctx)
@@ -644,14 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_map_args(sp)
     sp.add_argument("--point", action="append", help="x,y (repeatable)")
     sp.add_argument("--beta-shift", type=float, default=None, help="use beta + c dx")
-    sp.add_argument("--n-iter", type=int, default=100_000,
-                    help="ignored: boundary and area values are exact")
     sp.set_defaults(func=cmd_action)
 
     sp = sub.add_parser("rotation", help="rotation numbers and the boundary identity")
     add_map_args(sp)
-    sp.add_argument("--n-iter", type=int, default=100_000,
-                    help="ignored: boundary values are exact")
     sp.set_defaults(func=cmd_rotation)
 
     sp = sub.add_parser("orbits", help="periodic orbit census")

@@ -484,9 +484,6 @@ class MapExpr:
     def __call__(self, p: AnnulusPoint) -> AnnulusPoint:
         return eval_map(self, p)
 
-    def iterate(self, k: int) -> "MapExpr":
-        return Iterate(self, k)
-
 
 def _identity(shape) -> np.ndarray:
     out = np.zeros(tuple(shape) + (2, 2))

@@ -38,6 +38,8 @@ from .util import pairwise_sum
 
 # rows of the return-map grid evaluated per batch in grid_scan_orbits
 SCAN_CHUNK_ROWS = 64
+# an orbit whose I - DF^q has a smaller singular value than this is degenerate
+DEGENERATE_SINGULAR_VALUE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class SearchConfig:
     boundary_margin: float = 0.0
     max_grid: int = 384
     newton_target: float = 1e-12
-    degenerate_threshold: float = 1e-8
     max_backtracks: int = 8
 
     def __post_init__(self):
@@ -59,7 +60,7 @@ class SearchConfig:
             raise ValueError("grid and step counts must be positive")
         if not (0 < self.newton_damping < 1):
             raise ValueError("damping factor must lie in (0, 1)")
-        if min(self.dedup_tolerance, self.newton_target, self.degenerate_threshold) <= 0:
+        if min(self.dedup_tolerance, self.newton_target) <= 0:
             raise ValueError("tolerances must be positive")
         if not 0 <= self.boundary_margin < 0.5:
             raise ValueError("boundary margin must lie in [0, 0.5)")
@@ -94,9 +95,6 @@ class PeriodicOrbit:
 
     def point_array(self) -> np.ndarray:
         return np.array([[pt.xt, pt.y] for pt in self.points])
-
-    def rotation_number(self) -> float:
-        return self.p / self.q
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +207,12 @@ def _cyclic_distance(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def orbit_distance(a: PeriodicOrbit | np.ndarray, b: PeriodicOrbit | np.ndarray,
-                   q: int | None = None, p: int | None = None) -> float:
+                   *, p: int | None = None) -> float:
     """Distance between two (q, p) orbits: the minimum over cyclic relabelings
     and integer deck translations of the max pointwise distance.
 
     p comes from whichever argument is a PeriodicOrbit (a first); two point
-    arrays need it given."""
+    arrays need it given as the keyword p."""
     for o in (b, a):
         if isinstance(o, PeriodicOrbit):
             p = o.p
@@ -320,7 +318,7 @@ def _orbits_from_solutions(m: MapExpr, q: int, p: int, sols: np.ndarray,
             residual=float(residual[i]),
             least_period=int(least_period[j]),
             action=float(pairwise_sum(vals[j]) / q),
-            degenerate_flag=bool(smallest_sv[j] < cfg.degenerate_threshold),
+            degenerate_flag=bool(smallest_sv[j] < DEGENERATE_SINGULAR_VALUE),
         )
         for j, i in enumerate(keep)
     ]
@@ -334,8 +332,7 @@ def _seed_lattice(n: int, margin: float) -> np.ndarray:
 
 
 def find_periodic_orbits(m: MapExpr, q: int, p: int | Sequence[int],
-                         cfg: SearchConfig | None = None,
-                         workers: int = 1) -> list[PeriodicOrbit]:
+                         cfg: SearchConfig | None = None) -> list[PeriodicOrbit]:
     """Multi-start damped Newton census of type-(q, p) orbits.
 
     p is one winding or a sequence of windings. The seed lattice is tiled
@@ -344,8 +341,7 @@ def find_periodic_orbits(m: MapExpr, q: int, p: int | Sequence[int],
     at residual < 1e-9 and deduplicated with the cyclic/deck-translation
     metric, and one orbit is built per distinct solution, in canonical order.
     The orbits of all windings come back as one list in the given p order;
-    each carries its own p. A winding given twice is rejected. workers is
-    accepted and ignored: the census is one batched run in this process.
+    each carries its own p. A winding given twice is rejected.
     """
     if q < 1:
         raise ValueError("period must be a positive integer")

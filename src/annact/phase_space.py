@@ -16,6 +16,9 @@ import numpy as np
 
 from .util import integrate_path_parameter, wrap_turn
 
+# Gauss-Legendre nodes per quadrature piece of a path segment
+GAUSS_POINTS = 5
+
 
 @dataclass(frozen=True)
 class AnnulusPoint:
@@ -152,14 +155,13 @@ class ShiftedBeta(OneForm):
 class ExplicitField(OneForm):
     """A user-supplied 1-form with pointwise coefficient functions.
 
-    claims_area_form records the user's assertion that d(beta) = dy ^ dx;
-    check_area_form() validates it numerically on a sample grid.
+    check_area_form() checks numerically, on a sample grid, that it is a
+    primitive of the area form: d(beta) = dy ^ dx.
     """
 
-    def __init__(self, a: Callable, b: Callable, claims_area_form: bool = False):
+    def __init__(self, a: Callable, b: Callable):
         self.a = a
         self.b = b
-        self.claims_area_form = bool(claims_area_form)
 
     def coefficients(self, x, y):
         x = np.asarray(wrap_turn(x)[0], dtype=float)
@@ -181,14 +183,13 @@ class ExplicitField(OneForm):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite Gauss-Legendre controls for path integrals."""
+    """Composite Gauss-Legendre controls for path integrals, GAUSS_POINTS nodes a piece."""
 
-    points_per_segment: int = 5
     tol: float = 1e-10
     max_halvings: int = 14
 
     def __post_init__(self):
-        if self.points_per_segment < 1 or self.max_halvings < 1 or not self.tol > 0:
+        if self.max_halvings < 1 or not self.tol > 0:
             raise ValueError("invalid quadrature spec")
 
 
@@ -211,7 +212,7 @@ def line_integral(form: OneForm, path: PolylinePath, quad: QuadratureSpec | None
 
         pieces = max(1, int(np.ceil(float(np.hypot(dx, dy)) / path.refinement)))
         value, _ = integrate_path_parameter(
-            integrand, tol=quad.tol, pieces0=pieces, order=quad.points_per_segment,
+            integrand, tol=quad.tol, pieces0=pieces, order=GAUSS_POINTS,
             max_halvings=quad.max_halvings)
         total += value
     return total

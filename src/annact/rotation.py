@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import (
+    BIRKHOFF_N_ITER,
     ActionContext,
     MeasureSpec,
     birkhoff_average,
@@ -63,7 +64,8 @@ def _closed_form_point_rotation(m: MapExpr, p: AnnulusPoint) -> RotationValue | 
     return None
 
 
-def rotation_number_point(m: MapExpr, p: AnnulusPoint, n_iter: int = 100_000) -> RotationValue:
+def rotation_number_point(m: MapExpr, p: AnnulusPoint,
+                          n_iter: int = BIRKHOFF_N_ITER) -> RotationValue:
     """Average lift displacement along the orbit of p.
 
     Closed forms are used for rigid rotations, twists, and fixed points; the
@@ -101,7 +103,8 @@ def mean_rotation_area(m: MapExpr) -> RotationValue:
     return RotationValue(tree_field_integral(m)[1], 0.0, exact=True)
 
 
-def measure_rotation(m: MapExpr, mu: MeasureSpec, n_iter: int = 100_000) -> RotationValue:
+def measure_rotation(m: MapExpr, mu: MeasureSpec,
+                     n_iter: int = BIRKHOFF_N_ITER) -> RotationValue:
     """Rotation number of an invariant measure.
 
     Empirical measures average over their own mu.n_iter iterates, along
@@ -120,7 +123,7 @@ def measure_rotation(m: MapExpr, mu: MeasureSpec, n_iter: int = 100_000) -> Rota
     raise ValueError(f"unknown measure variant {mu.variant!r}")
 
 
-def lemma_boundary_identity_defect(m: MapExpr, n_iter: int = 1_000_000) -> float:
+def lemma_boundary_identity_defect(m: MapExpr) -> float:
     """Residual of the boundary identity
 
         rho(area) = A(mu_lower) - A(mu_upper) + rho_upper
@@ -128,7 +131,7 @@ def lemma_boundary_identity_defect(m: MapExpr, n_iter: int = 1_000_000) -> float
     with the canonical primitive, all four quantities computed independently."""
     ctx = ActionContext.default()
     rho_area = mean_rotation_area(m).value
-    a_lower = measure_action(m, ctx, MeasureSpec("boundary_lower", n_iter=n_iter)).value
-    a_upper = measure_action(m, ctx, MeasureSpec("boundary_upper", n_iter=n_iter)).value
+    a_lower = measure_action(m, ctx, MeasureSpec.boundary_lower()).value
+    a_upper = measure_action(m, ctx, MeasureSpec.boundary_upper()).value
     rho_upper = boundary_rotation_number(m, "upper").value
     return abs(rho_area - (a_lower - a_upper + rho_upper))

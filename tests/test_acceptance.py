@@ -107,7 +107,7 @@ def test_criterion_3_boundary_identity(rng):
         worst = 0.0
         for _ in range(20):
             m = random_composition(rng)
-            worst = max(worst, lemma_boundary_identity_defect(m, n_iter=200_000))
+            worst = max(worst, lemma_boundary_identity_defect(m))
         assert worst < 1e-6
 
 

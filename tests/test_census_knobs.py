@@ -1,14 +1,35 @@
 """Census and config knobs do what their names say, or are rejected: a census
-is one Newton run whatever `workers` says, a search needs at least one
-line-search level, `--grid 0` is a usage error, and `task.n_iter` sets the
-length of empirical measures that set none."""
+is one Newton run, a search needs at least one line-search level, `--grid 0`
+is a usage error, `task.n_iter` sets the length of empirical measures that
+set none, and every empirical default is the same length. A removed keyword
+is a TypeError and a removed flag a usage error. The knobs that are still
+accepted and not read change no output."""
 
+import inspect
 import json
 
+import numpy as np
 import pytest
 
 import annact.orbits as orbits_mod
-from annact import SearchConfig, candidate_windings, find_periodic_orbits
+from annact import (
+    ActionContext,
+    AnnulusPoint,
+    ExplicitField,
+    LiftedPoint,
+    MeasureSpec,
+    PolylinePath,
+    QuadratureSpec,
+    SearchConfig,
+    candidate_windings,
+    find_periodic_orbits,
+    lemma_boundary_identity_defect,
+    measure_action,
+    measure_rotation,
+    orbit_distance,
+    path_independence_defect,
+    rotation_number_point,
+)
 from annact.cli import EXIT_USAGE, main
 
 
@@ -18,8 +39,7 @@ def test_search_config_rejects_no_backtracks(bad):
         SearchConfig(grid=24, max_backtracks=bad)
 
 
-@pytest.mark.parametrize("workers", [1, 3, 8])
-def test_census_is_one_newton_run_whatever_the_workers(perturbed_rotation, monkeypatch, workers):
+def test_census_is_one_newton_run(perturbed_rotation, monkeypatch):
     cfg = SearchConfig(grid=24)
     ps = candidate_windings(perturbed_rotation, 6)
     reference = find_periodic_orbits(perturbed_rotation, 6, ps, cfg)
@@ -31,7 +51,7 @@ def test_census_is_one_newton_run_whatever_the_workers(perturbed_rotation, monke
         return polish(*args, **kwargs)
 
     monkeypatch.setattr(orbits_mod, "_newton_polish", counting)
-    orbits = find_periodic_orbits(perturbed_rotation, 6, ps, cfg, workers=workers)
+    orbits = find_periodic_orbits(perturbed_rotation, 6, ps, cfg)
     assert calls == [24 * 24 * len(ps)]
     assert orbits == reference
 
@@ -56,3 +76,95 @@ def test_task_n_iter_sets_empirical_measure_length(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "n=2000" in out
     assert "n=100000" not in out
+
+
+def test_every_empirical_default_is_one_length():
+    seed = AnnulusPoint(0.3, 0.55)
+    n = MeasureSpec.empirical(seed).n_iter
+    assert MeasureSpec("empirical", seed=seed).n_iter == n
+    assert inspect.signature(rotation_number_point).parameters["n_iter"].default == n
+    assert inspect.signature(measure_rotation).parameters["n_iter"].default == n
+
+
+def _field(x, y):
+    return np.zeros_like(y)
+
+
+_DOGLEG = PolylinePath((LiftedPoint(0.0, 0.0), LiftedPoint(0.4, 0.7), LiftedPoint(0.3, 0.9)))
+
+REMOVED_KEYWORDS = {
+    "find_periodic_orbits(workers=)":
+        lambda m: find_periodic_orbits(m, 1, 0, SearchConfig(grid=2), workers=1),
+    "lemma_boundary_identity_defect(n_iter=)":
+        lambda m: lemma_boundary_identity_defect(m, n_iter=1000),
+    "ExplicitField(claims_area_form=)":
+        lambda m: ExplicitField(_field, _field, claims_area_form=True),
+    "QuadratureSpec(points_per_segment=)":
+        lambda m: QuadratureSpec(points_per_segment=5),
+    "SearchConfig(degenerate_threshold=)":
+        lambda m: SearchConfig(degenerate_threshold=1e-8),
+    "path_independence_defect(tol=)":
+        lambda m: path_independence_defect(
+            m, ActionContext.default(), AnnulusPoint(0.3, 0.9), _DOGLEG, tol=1e-10),
+    "orbit_distance(a, b, q, p)":
+        lambda m: orbit_distance(np.zeros((3, 2)), np.zeros((3, 2)), 3, 1),
+}
+
+
+@pytest.mark.parametrize("call", REMOVED_KEYWORDS.values(), ids=REMOVED_KEYWORDS.keys())
+def test_removed_keyword_is_a_type_error(linear_twist, call):
+    with pytest.raises(TypeError):
+        call(linear_twist)
+
+
+@pytest.mark.parametrize("command", ["action", "rotation"])
+def test_removed_n_iter_flag_is_a_usage_error(command):
+    assert main([command, "--map", "twist:linear", "--n-iter", "5"]) == EXIT_USAGE
+
+
+def test_orbits_workers_flag_changes_nothing(tmp_path, capsys):
+    argv = ["orbits", "--map", "rigid:a=0.6180339887*disk:cx=0.5,cy=0.5,R=0.35,c=50.85",
+            "--q", "3", "--grid", "12"]
+    outputs = []
+    for extra in ([], ["--workers", "1"], ["--workers", "3"]):
+        out = tmp_path / f"census{len(outputs)}.csv"
+        assert main(argv + extra + ["--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out.replace(str(out), "CSV"), out.read_bytes()))
+    assert outputs[1] == outputs[0] == outputs[2]
+
+
+def test_config_workers_and_exact_measure_n_iter_change_nothing(tmp_path, capsys):
+    cfg = {
+        "schema_version": 1,
+        "map": {"variant": "twist", "profile": {"kind": "linear"}},
+        "measures": {"mu1": {"kind": "boundary_upper"}, "mu2": {"kind": "area"}},
+        "search": {"grid": 12},
+        "task": {"q_max": 4},
+    }
+    knobs = json.loads(json.dumps(cfg))
+    knobs["measures"]["mu1"]["n_iter"] = 1000
+    knobs["measures"]["mu2"]["n_iter"] = 1000
+    knobs["task"]["workers"] = 1
+    files = []
+    for name, c in (("plain", cfg), ("knobs", knobs)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(c))
+        out_dir = tmp_path / name
+        assert main(["verify", "--config", str(path), "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        files.append({f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
+    assert len(files[0]) == 4
+    assert files[0] == files[1]
+
+
+def test_library_n_iter_on_exact_measures_changes_nothing(perturbed_rotation):
+    ctx = ActionContext.default()
+    for variant in ("boundary_lower", "boundary_upper"):
+        plain, knob = MeasureSpec(variant), MeasureSpec(variant, n_iter=1000)
+        assert measure_action(perturbed_rotation, ctx, knob) == measure_action(
+            perturbed_rotation, ctx, plain)
+        assert measure_rotation(perturbed_rotation, knob) == measure_rotation(
+            perturbed_rotation, plain)
+    mu = MeasureSpec.empirical(AnnulusPoint(0.3, 0.55), 2000)
+    assert measure_rotation(perturbed_rotation, mu, n_iter=1000) == measure_rotation(
+        perturbed_rotation, mu)

@@ -111,7 +111,6 @@ def test_orbits_csv_output(tmp_path, capsys):
 def test_action_subcommand(capsys):
     code = main([
         "action", "--map", "twist:linear", "--point", "0.3,1.0",
-        "--n-iter", "5000",
     ])
     assert code == EXIT_OK
     out = capsys.readouterr().out
@@ -120,7 +119,7 @@ def test_action_subcommand(capsys):
 
 
 def test_rotation_subcommand(capsys):
-    assert main(["rotation", "--map", "rigid:a=0.25", "--n-iter", "5000"]) == EXIT_OK
+    assert main(["rotation", "--map", "rigid:a=0.25"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "rotation[lower] = 0.25" in out
     assert "boundary identity defect = 0.0" in out

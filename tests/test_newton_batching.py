@@ -84,14 +84,13 @@ def test_polish_matches_the_sequential_line_search_on_random_maps(rng):
             _assert_polish_matches(m, 3, p, SearchConfig(grid=16))
 
 
-@pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("q", [6, 7, 8])
-def test_stacked_windings_equal_the_single_winding_censuses(perturbed_rotation, q, workers):
+def test_stacked_windings_equal_the_single_winding_censuses(perturbed_rotation, q):
     ps = candidate_windings(perturbed_rotation, q)
     assert len(ps) > 1
-    stacked = find_periodic_orbits(perturbed_rotation, q, ps, workers=workers)
+    stacked = find_periodic_orbits(perturbed_rotation, q, ps)
     single = [o for p in ps
-              for o in find_periodic_orbits(perturbed_rotation, q, p, workers=workers)]
+              for o in find_periodic_orbits(perturbed_rotation, q, p)]
     assert stacked == single
 
 

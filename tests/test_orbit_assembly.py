@@ -37,10 +37,10 @@ def test_orbit_distance_ignores_relabelling_and_deck_shift(q, p, rng):
         relabelled = np.concatenate([a[r:], a[:r] + [p, 0]])
         for k in range(-2, 3):
             b = relabelled + [k, 0]
-            assert orbit_distance(a, b, q, p) == 0.0
-            assert orbit_distance(b, a, q, p) == 0.0
+            assert orbit_distance(a, b, p=p) == 0.0
+            assert orbit_distance(b, a, p=p) == 0.0
     c = rng.integers(0, 2**20, size=(q, 2)) / 2**20
-    assert orbit_distance(a, c, q, p) == orbit_distance(c, a, q, p) > 0.0
+    assert orbit_distance(a, c, p=p) == orbit_distance(c, a, p=p) > 0.0
 
 
 def _loop_orbit_distance(a, b, q, p):
@@ -60,7 +60,7 @@ def test_orbit_distance_matches_the_loop_reference(q, p, rng):
         a = rng.random((q, 2)) + [rng.integers(-3, 4), 0]
         b = np.roll(a, rng.integers(q), axis=0) + rng.normal(0.0, 1e-3, (q, 2))
         for x, y in ((a, b), (b, a), (a, rng.random((q, 2)))):
-            assert orbit_distance(x, y, q, p) == _loop_orbit_distance(x, y, q, p)
+            assert orbit_distance(x, y, p=p) == _loop_orbit_distance(x, y, q, p)
 
 
 def test_orbit_distance_takes_p_from_either_orbit(perturbed_rotation):
@@ -76,7 +76,7 @@ def test_orbit_distance_of_two_arrays_needs_p(rng):
     a, b = rng.random((3, 2)), rng.random((3, 2))
     with pytest.raises(ValueError, match="p"):
         orbit_distance(a, b)
-    with pytest.raises(ValueError, match="p"):
+    with pytest.raises(TypeError):
         orbit_distance(a, b, 3)
 
 

@@ -65,7 +65,7 @@ def test_dedup_idempotent_and_metric(perturbed_rotation):
 def test_determinism_across_runs_and_workers(perturbed_rotation):
     a = find_periodic_orbits(perturbed_rotation, 6, 4, SearchConfig(grid=24))
     b = find_periodic_orbits(perturbed_rotation, 6, 4, SearchConfig(grid=24))
-    c = find_periodic_orbits(perturbed_rotation, 6, 4, SearchConfig(grid=24), workers=4)
+    c = find_periodic_orbits(perturbed_rotation, 6, 4, SearchConfig(grid=24))
     assert [o.points for o in a] == [o.points for o in b] == [o.points for o in c]
     assert [o.residual for o in a] == [o.residual for o in c]
 

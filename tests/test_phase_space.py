@@ -132,9 +132,9 @@ def test_additivity_and_reversal(rng):
 
 
 def test_explicit_field_area_form_check():
-    good = ExplicitField(lambda x, y: y, lambda x, y: np.zeros_like(x), claims_area_form=True)
+    good = ExplicitField(lambda x, y: y, lambda x, y: np.zeros_like(x))
     assert good.check_area_form()
-    bad = ExplicitField(lambda x, y: 0.5 * y, lambda x, y: np.zeros_like(x), claims_area_form=True)
+    bad = ExplicitField(lambda x, y: 0.5 * y, lambda x, y: np.zeros_like(x))
     assert not bad.check_area_form()
 
 

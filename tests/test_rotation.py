@@ -80,20 +80,20 @@ def test_iterate_scaling(linear_twist, golden_rotation):
 
 def test_lemma_identity_closed_forms(linear_twist, golden_rotation):
     # linear twist: |1/2 - (0 - 1/2 + 1)| = 0
-    assert lemma_boundary_identity_defect(linear_twist, n_iter=20_000) < 1e-8
+    assert lemma_boundary_identity_defect(linear_twist) < 1e-8
     # rigid rotation: |a - (0 - 0 + a)| = 0
-    assert lemma_boundary_identity_defect(golden_rotation, n_iter=20_000) < 1e-12
+    assert lemma_boundary_identity_defect(golden_rotation) < 1e-12
 
 
 def test_lemma_identity_perturbed(perturbed_rotation):
-    assert lemma_boundary_identity_defect(perturbed_rotation, n_iter=20_000) < 1e-6
+    assert lemma_boundary_identity_defect(perturbed_rotation) < 1e-6
 
 
 def test_lemma_identity_random_compositions(rng):
     worst = 0.0
     for _ in range(20):
         m = random_composition(rng)
-        worst = max(worst, lemma_boundary_identity_defect(m, n_iter=20_000))
+        worst = max(worst, lemma_boundary_identity_defect(m))
     assert worst < 1e-6
 
 
