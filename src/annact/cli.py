@@ -243,6 +243,15 @@ CONFIG_SCHEMA = {
             "oneOf": [
                 {
                     "type": "object",
+                    "properties": {
+                        "kind": {"const": "negated"},
+                        "base": {"$ref": "#/$defs/twist_profile"},
+                    },
+                    "required": ["kind", "base"],
+                    "additionalProperties": False,
+                },
+                {
+                    "type": "object",
                     "properties": {"kind": {"const": "linear"}},
                     "required": ["kind"],
                     "additionalProperties": False,
@@ -267,6 +276,15 @@ CONFIG_SCHEMA = {
         },
         "radial_profile": {
             "oneOf": [
+                {
+                    "type": "object",
+                    "properties": {
+                        "kind": {"const": "negated"},
+                        "base": {"$ref": "#/$defs/radial_profile"},
+                    },
+                    "required": ["kind", "base"],
+                    "additionalProperties": False,
+                },
                 {
                     "type": "object",
                     "properties": {"kind": {"const": "poly_bump"}, "c": {"type": "number"}},

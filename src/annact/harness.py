@@ -3,7 +3,9 @@
 Given a map and two invariant measures, compute the action gap Delta, derive
 the period threshold (every integer q > 1/Delta must carry at least two
 distinct periodic orbits), run the orbit census over a windowed range of lift
-windings for each q, and report PASS / FAIL / INCONCLUSIVE per period. A FAIL
+windings for each q, and report PASS / FAIL / INCONCLUSIVE per period. The
+censuses of all periods share one Newton run per seed grid; a period with
+fewer than two orbits is searched again at the doubled grid. A FAIL
 only means the search was exhausted: the underlying result is an existence
 theorem, so absence of orbits in a finite search never refutes it.
 """
@@ -187,20 +189,25 @@ def _action_range(m: MapExpr, ctx: ActionContext, n: int = 192) -> tuple[float, 
     return float(np.min(vals)), float(np.max(vals))
 
 
-def _census_for_q(m: MapExpr, q: int, ps: list[int],
-                  cfg: SearchConfig) -> tuple[list[WindingCensus], int]:
-    """Union of windowed searches, one Newton run over all windings per grid,
-    doubling the seed lattice until at least two distinct orbits appear or the
-    density cap is reached."""
-    grid = cfg.grid
-    while True:
-        run_cfg = replace(cfg, grid=grid)
-        orbits = find_periodic_orbits(m, q, ps, run_cfg)
-        censuses = [WindingCensus(p, tuple(o for o in orbits if o.p == p)) for p in ps]
-        total = sum(len(c.orbits) for c in censuses)
-        if total >= 2 or grid >= cfg.max_grid:
-            return censuses, grid
+def _census(m: MapExpr, windings: dict[int, list[int]],
+            cfg: SearchConfig) -> dict[int, tuple[list[WindingCensus], int]]:
+    """Each period's winding censuses and the grid of its last search. One
+    Newton run per grid searches every period still short of two distinct
+    orbits, all its windings at once; the seed lattice doubles until each
+    period has two or the density cap is reached."""
+    out = {}
+    todo, grid = list(windings), cfg.grid
+    while todo:
+        orbits = find_periodic_orbits(m, todo, [windings[q] for q in todo], replace(cfg, grid=grid))
+        for q in todo:
+            censuses = [WindingCensus(p, tuple(o for o in orbits if (o.q, o.p) == (q, p)))
+                        for p in windings[q]]
+            out[q] = censuses, grid
+        if grid >= cfg.max_grid:
+            break
+        todo = [q for q in todo if sum(len(c.orbits) for c in out[q][0]) < 2]
         grid = min(2 * grid, cfg.max_grid)
+    return out
 
 
 def verify_theorem(m: MapExpr, mu1: MeasureSpec, mu2: MeasureSpec,
@@ -256,10 +263,9 @@ def verify_theorem(m: MapExpr, mu1: MeasureSpec, mu2: MeasureSpec,
     # the range itself (the grid can miss sharp extrema of g)
     guard_pad = GAP_ERROR_FACTOR * gap_err + 0.01 * (g_hi - g_lo) + 1e-9
 
+    census = _census(m, {q: candidate_windings(m, q) for q in range(q_thr, q_max + 1)}, cfg)
     results = []
-    for q in range(q_thr, q_max + 1):
-        ps = candidate_windings(m, q)
-        censuses, grid_used = _census_for_q(m, q, ps, cfg)
+    for q, (censuses, grid_used) in census.items():
         all_orbits = [o for c in censuses for o in c.orbits]
         distinct = len(all_orbits)
         q_notes: list[str] = []

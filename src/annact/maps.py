@@ -19,7 +19,9 @@ iteration only record their leaves, in application order. apply_lift,
 jacobian and the fused lift_with_jacobian are each one forward pass over
 leaves(), and orbit_arrays iterates that pass along orbits; the action
 function of a tree (action.action_values_raw) and the leaf-mean sum
-(quadrature.tree_field_integral) walk the same leaves.
+(quadrature.tree_field_integral) walk the same leaves. RowIterate runs that
+pass a different number of times per row, for a Newton census over several
+periods at once; each row takes exactly Iterate's steps.
 
 step, apply_lift and the routines built on them are vectorized over numpy
 arrays. One point has its own pass: each leaf's step_point(xt, y) repeats
@@ -783,6 +785,72 @@ class Iterate(MapExpr):
         return f"Iterate({self.base!r}, {self.k})"
 
 
+class RowIterate(MapExpr):
+    """base applied ks[i] times to row i of 1-D arrays: F^q over the rows of
+    several periods at once.
+
+    Each row takes exactly the leaf steps of Iterate(base, ks[i]), and its
+    differential is multiplied leaf by leaf in the same order. All rows step
+    together until the smallest count is reached; from then on the rows that
+    are done are set aside and the others gathered. Gathering rounds no
+    differently, because every leaf step and the stacked 2x2 products act row
+    by row. With one count for every row nothing is gathered or copied.
+    """
+
+    def __init__(self, base: MapExpr, ks):
+        ks = np.asarray(ks)
+        if ks.ndim != 1 or not np.issubdtype(ks.dtype, np.integer) or np.any(ks < 1):
+            raise ValueError("iteration counts must be one positive integer per row")
+        self.base = base
+        self.ks = ks
+
+    def apply_lift(self, xt, y):
+        return self._pass(xt, y, False)[:2]
+
+    def lift_with_jacobian(self, xt, y):
+        return self._pass(xt, y, True)
+
+    def _pass(self, xt, y, with_jacobian: bool):
+        leaves, ks = self.base.leaves(), self.ks
+        xt, y, jac = np.asarray(xt, dtype=float), np.asarray(y, dtype=float), None
+        if xt.shape != ks.shape or y.shape != ks.shape:
+            raise ValueError("RowIterate takes one row of xt and y per iteration count")
+        # live: the counts of the rows still stepping; rows: their indices
+        out, rows, live, done = None, None, ks, 0
+        # the distinct counts in order (np.unique would import numpy.ma)
+        for stop in np.flatnonzero(np.bincount(ks)):
+            for _ in range(done, stop):
+                for leaf in leaves:
+                    xt, y, d = leaf.step(xt, y, with_jacobian)
+                    if d is not None:
+                        jac = d if jac is None else d @ jac
+            done = stop
+            fin = live == stop
+            if fin.all():
+                break
+            if out is None:
+                rows = np.arange(len(ks))
+                out = (np.empty(len(ks)), np.empty(len(ks)),
+                       _identity(ks.shape) if with_jacobian else None)
+            self._set_aside(out, rows[fin], xt[fin], y[fin], None if jac is None else jac[fin])
+            keep = ~fin
+            xt, y, rows, live = xt[keep], y[keep], rows[keep], live[keep]
+            jac = None if jac is None else jac[keep]
+        if out is None:
+            if with_jacobian and jac is None:
+                jac = _identity(xt.shape)
+            return xt, y, jac
+        self._set_aside(out, rows, xt, y, jac)
+        return out
+
+    @staticmethod
+    def _set_aside(out, rows, xt, y, jac):
+        out[0][rows] = xt
+        out[1][rows] = y
+        if out[2] is not None and jac is not None:
+            out[2][rows] = jac
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -916,6 +984,8 @@ def _twist_profile_from_config(cfg: dict) -> TwistProfile:
         return PolyBumpProfile(float(cfg["c"]))
     if kind == "tabulated":
         return TabulatedProfile(cfg["y"], cfg["phi"])
+    if kind == "negated":
+        return _twist_profile_from_config(cfg["base"]).negated()
     raise ConfigError(f"unknown twist profile kind: {kind!r}")
 
 
@@ -925,6 +995,8 @@ def _radial_profile_from_config(cfg: dict, radius: float) -> RadialProfile:
         return PolyBumpRadial(float(cfg["c"]), radius)
     if kind == "tabulated":
         return TabulatedRadial(cfg["r"], cfg["phi"])
+    if kind == "negated":
+        return _radial_profile_from_config(cfg["base"], radius).negated()
     raise ConfigError(f"unknown radial profile kind: {kind!r}")
 
 

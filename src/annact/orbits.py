@@ -2,7 +2,9 @@
 
 A type-(q, p) orbit solves F^q(z) = z + (p, 0) in the universal cover. The
 search runs damped Newton on G(z) = F^q(z) - z - (p, 0) from a seed lattice,
-then works on all converged solutions as arrays: it canonicalises their
+tiled once per (q, p) so that one run polishes several windings and periods
+(each row iterated to its own q by maps.RowIterate). It then works on each
+(q, p)'s converged solutions as arrays: it canonicalises their
 orbits, certifies them by their residuals and deduplicates them modulo deck
 translation and cyclic relabeling. The dedup has two array stages: stage 1
 collapses the many Newton copies of one chain (starts in one tol / 10 cell,
@@ -32,7 +34,7 @@ from .action import (
     measure_action,
 )
 from .errors import NonConvergentError
-from .maps import Iterate, MapExpr, orbit_arrays
+from .maps import Iterate, MapExpr, RowIterate, orbit_arrays
 from .phase_space import LiftedPoint
 from .util import pairwise_sum
 
@@ -129,31 +131,46 @@ def _newton_steps(g: np.ndarray, jac_g: np.ndarray):
     return step
 
 
-def _newton_polish(m: MapExpr, q: int, p: int | np.ndarray, seeds: np.ndarray,
+def _newton_polish(m: MapExpr, q: int | np.ndarray, p: int | np.ndarray, seeds: np.ndarray,
                    cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
     """Run damped Newton from every seed; return the converged solutions and
     their windings, in seed order.
 
-    p is one winding for all seeds or an array of one winding per seed, so
-    the seeds of several windings share every batched call. The line search
-    tries the damping levels 1, d, d^2, ... (max_backtracks of them) in order
-    and accepts a row's first level that lowers the residual enough; it tries
-    as many levels per residual call as keeps levels x rows within the seed
-    count, so no call is larger than the first Jacobian pass and each row
-    takes the step a one-level-at-a-time search would take."""
-    fq = Iterate(m, q)
+    p is one winding for all seeds or an array of one winding per seed, and
+    q likewise one period or an array of one period per seed, so the seeds
+    of several windings and periods share every batched call; each row is
+    iterated its own q times (maps.RowIterate). With per-row periods the
+    second output holds the (q, p) row of each solution. A Newton step works
+    on blocks of at most the largest period's seed count, so merging periods
+    makes no Newton array larger than a one-period run does; only the final
+    convergence filter is one call over all seeds. The line search tries the
+    damping levels 1, d, d^2, ... (max_backtracks of them) in order and
+    accepts a row's first level that lowers the residual enough; it tries as
+    many levels per residual call as keeps levels x rows within the block,
+    so no call is larger than the first Jacobian pass and each row takes the
+    step a one-level-at-a-time search would take."""
     z = np.array(seeds, dtype=float).reshape(-1, 2).copy()
     p = np.broadcast_to(p, len(z))
+    block = len(z)
+    if np.ndim(q):
+        q = np.asarray(q)
+        block = int(np.bincount(q).max(initial=0))
+
+        def power(rows):  # F^q on the given rows of z
+            return RowIterate(m, q[rows])
+    else:
+        fq = Iterate(m, q)
+
+        def power(rows):
+            return fq
     levels = np.cumprod([1.0] + [cfg.newton_damping] * cfg.max_backtracks)[: cfg.max_backtracks]
     active = np.ones(len(z), dtype=bool)
     done = np.zeros(len(z), dtype=bool)
-    for _ in range(cfg.newton_max_steps):
-        idx = np.nonzero(active & ~done)[0]
-        if idx.size == 0:
-            break
+
+    def newton_step(idx):
         zi = z[idx]
         # G(z) = F^q(z) - z - (p, 0) and DG = DF^q - I, in one fused pass
-        xt, y, jac = fq.lift_with_jacobian(zi[:, 0], zi[:, 1])
+        xt, y, jac = power(idx).lift_with_jacobian(zi[:, 0], zi[:, 1])
         g = np.stack([xt - zi[:, 0] - p[idx], y - zi[:, 1]], axis=1)
         jac = jac - np.eye(2)
         ni = np.linalg.norm(g, axis=1)
@@ -161,7 +178,7 @@ def _newton_polish(m: MapExpr, q: int, p: int | np.ndarray, seeds: np.ndarray,
         done[idx[newly_done]] = True
         live = ~newly_done
         if not np.any(live):
-            continue
+            return
         sub = idx[live]
         step = _newton_steps(g[live], jac[live])
         # a zero step (DF^q = I) leaves z where it is, so no trial can pass
@@ -170,11 +187,12 @@ def _newton_polish(m: MapExpr, q: int, p: int | np.ndarray, seeds: np.ndarray,
         sub, step, base_norm = sub[moving], step[moving], ni[live][moving]
         k = 0
         while sub.size and k < len(levels):
-            lam = levels[k : k + max(1, len(z) // sub.size)]
+            lam = levels[k : k + max(1, block // sub.size)]
             cand = z[sub] + lam[:, None, None] * step  # (level, row, 2)
             cand[..., 1] = np.clip(cand[..., 1], 0.0, 1.0)
+            rows = np.tile(sub, len(lam))
             cand_norm = _residual_norm_only(
-                fq, cand.reshape(-1, 2), np.tile(p[sub], len(lam))).reshape(len(lam), -1)
+                power(rows), cand.reshape(-1, 2), p[rows]).reshape(len(lam), -1)
             improved = (cand_norm <= base_norm * (1.0 - 1e-4 * lam[:, None])) | (
                 cand_norm < cfg.newton_target
             )
@@ -183,8 +201,15 @@ def _newton_polish(m: MapExpr, q: int, p: int | np.ndarray, seeds: np.ndarray,
             sub, step, base_norm = sub[~hit], step[~hit], base_norm[~hit]
             k += len(lam)
         active[sub] = False
-    ok = _residual_norm_only(fq, z, p) < cfg.newton_target * 10
-    return z[ok], p[ok]
+
+    for _ in range(cfg.newton_max_steps):
+        todo = np.nonzero(active & ~done)[0]
+        if todo.size == 0:
+            break
+        for lo in range(0, todo.size, block):
+            newton_step(todo[lo:lo + block])
+    ok = _residual_norm_only(power(slice(None)), z, p) < cfg.newton_target * 10
+    return z[ok], (np.stack([q, p], axis=1) if np.ndim(q) else p)[ok]
 
 
 # ---------------------------------------------------------------------------
@@ -331,28 +356,45 @@ def _seed_lattice(n: int, margin: float) -> np.ndarray:
     return np.stack([X.ravel(), Y.ravel()], axis=1)
 
 
-def find_periodic_orbits(m: MapExpr, q: int, p: int | Sequence[int],
+def find_periodic_orbits(m: MapExpr, q: int | Sequence[int],
+                         p: int | Sequence[int] | Sequence[int | Sequence[int]],
                          cfg: SearchConfig | None = None) -> list[PeriodicOrbit]:
     """Multi-start damped Newton census of type-(q, p) orbits.
 
-    p is one winding or a sequence of windings. The seed lattice is tiled
-    once per winding and one Newton run polishes all the rows together. Each
-    winding's converged solutions are then canonicalised as arrays, certified
+    p is one winding or a sequence of windings. q may also be a sequence of
+    periods; p is then one entry per period, each a winding or a sequence of
+    windings. The seed lattice is tiled once per (q, p) and one Newton run
+    polishes all the rows together, each row iterated to its own q. Each
+    (q, p)'s converged solutions are then canonicalised as arrays, certified
     at residual < 1e-9 and deduplicated with the cyclic/deck-translation
     metric, and one orbit is built per distinct solution, in canonical order.
-    The orbits of all windings come back as one list in the given p order;
-    each carries its own p. A winding given twice is rejected.
+    The orbits come back as one list in the given q order, then p order; each
+    carries its own q and p, so the list equals the concatenation of the
+    single-period censuses. A period or a period's winding given twice is
+    rejected.
     """
-    if q < 1:
+    qs = list(q) if np.ndim(q) else [q]
+    pss = [list(w) if np.ndim(w) else [w] for w in (p if np.ndim(q) else [p])]
+    if len(pss) != len(qs):
+        raise ValueError(f"give one entry of windings per period, got {len(pss)} for {len(qs)}")
+    if min(qs, default=1) < 1:
         raise ValueError("period must be a positive integer")
+    if len(set(qs)) < len(qs):
+        raise ValueError(f"periods q must not repeat, got {qs}")
+    for ps in pss:
+        if len(set(ps)) < len(ps):
+            raise ValueError(f"windings p must not repeat, got {ps}")
     cfg = cfg or SearchConfig()
-    ps = list(p) if np.ndim(p) else [p]
-    if len(set(ps)) < len(ps):
-        raise ValueError(f"windings p must not repeat, got {ps}")
     lattice = _seed_lattice(cfg.grid, cfg.boundary_margin)
-    seeds = np.tile(lattice, (len(ps), 1))
-    sols, sol_p = _newton_polish(m, q, np.repeat(ps, len(lattice)), seeds, cfg)
-    return [o for w in ps for o in _orbits_from_solutions(m, q, w, sols[sol_p == w], cfg)]
+    row_p = np.repeat([w for ps in pss for w in ps], len(lattice))
+    seeds = np.tile(lattice, (len(row_p) // len(lattice), 1))
+    # one period stays a scalar q: the polish then runs Iterate and keeps no per-row q
+    rows_per_q = [len(ps) * len(lattice) for ps in pss]
+    row_q = qs[0] if len(qs) == 1 else np.repeat(np.array(qs, dtype=int), rows_per_q)
+    sols, tags = _newton_polish(m, row_q, row_p, seeds, cfg)
+    sol_q, sol_p = tags.T if tags.ndim == 2 else (qs[0], tags)
+    return [o for k, ps in zip(qs, pss) for w in ps
+            for o in _orbits_from_solutions(m, k, w, sols[(sol_q == k) & (sol_p == w)], cfg)]
 
 
 def refine_orbit(m: MapExpr, seed_orbit: PeriodicOrbit, target_residual: float = 1e-12,
