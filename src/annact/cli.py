@@ -450,8 +450,11 @@ def write_verification_outputs(rep: VerificationReport, m: MapExpr, out_dir: str
     for oid, orb in enumerate(report_orbit_rows(rep)):
         for step, pt in enumerate(orb.points):
             orbit_rows.append(f"orbit,{oid},{step},{pt.xt % 1.0!r},{pt.y!r}")
-    header = phase_portrait_csv(m)
-    plot_path.write_text(header + ("\n".join(orbit_rows) + "\n" if orbit_rows else ""))
+    # two writes: joining the 1 MB portrait to the orbit rows would copy it
+    with plot_path.open("w") as fh:
+        fh.write(phase_portrait_csv(m))
+        if orbit_rows:
+            fh.write("\n".join(orbit_rows) + "\n")
     written.append(str(plot_path))
     return written
 

@@ -795,14 +795,22 @@ class RowIterate(MapExpr):
     are done are set aside and the others gathered. Gathering rounds no
     differently, because every leaf step and the stacked 2x2 products act row
     by row. With one count for every row nothing is gathered or copied.
+
+    It is a map only of the rows it was built for: it evaluates apply_lift
+    and lift_with_jacobian on arrays of exactly that many points, and it has
+    no leaves, so it cannot be composed, inverted, described or integrated.
     """
 
     def __init__(self, base: MapExpr, ks):
         ks = np.asarray(ks)
-        if ks.ndim != 1 or not np.issubdtype(ks.dtype, np.integer) or np.any(ks < 1):
+        if ks.ndim != 1 or ks.dtype.kind not in "iu" or ks.min(initial=1) < 1:
             raise ValueError("iteration counts must be one positive integer per row")
         self.base = base
         self.ks = ks
+
+    def leaves(self):
+        raise TypeError("RowIterate iterates each row its own number of times, so it has no "
+                        "leaves; only apply_lift and lift_with_jacobian evaluate it")
 
     def apply_lift(self, xt, y):
         return self._pass(xt, y, False)[:2]
@@ -817,17 +825,20 @@ class RowIterate(MapExpr):
             raise ValueError("RowIterate takes one row of xt and y per iteration count")
         # live: the counts of the rows still stepping; rows: their indices
         out, rows, live, done = None, None, ks, 0
-        # the distinct counts in order (np.unique would import numpy.ma)
-        for stop in np.flatnonzero(np.bincount(ks)):
+        # the distinct counts in order: bincount (np.unique would import
+        # numpy.ma) only when they differ, as it costs more than min and max
+        top = ks.max(initial=0)
+        stops = [top] if ks.min(initial=top) == top else np.flatnonzero(np.bincount(ks))
+        for stop in stops:
             for _ in range(done, stop):
                 for leaf in leaves:
                     xt, y, d = leaf.step(xt, y, with_jacobian)
                     if d is not None:
                         jac = d if jac is None else d @ jac
             done = stop
-            fin = live == stop
-            if fin.all():
+            if stop == stops[-1]:
                 break
+            fin = live == stop
             if out is None:
                 rows = np.arange(len(ks))
                 out = (np.empty(len(ks)), np.empty(len(ks)),

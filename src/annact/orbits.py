@@ -140,29 +140,19 @@ def _newton_polish(m: MapExpr, q: int | np.ndarray, p: int | np.ndarray, seeds: 
     q likewise one period or an array of one period per seed, so the seeds
     of several windings and periods share every batched call; each row is
     iterated its own q times (maps.RowIterate). With per-row periods the
-    second output holds the (q, p) row of each solution. A Newton step works
-    on blocks of at most the largest period's seed count, so merging periods
-    makes no Newton array larger than a one-period run does; only the final
-    convergence filter is one call over all seeds. The line search tries the
-    damping levels 1, d, d^2, ... (max_backtracks of them) in order and
-    accepts a row's first level that lowers the residual enough; it tries as
-    many levels per residual call as keeps levels x rows within the block,
-    so no call is larger than the first Jacobian pass and each row takes the
-    step a one-level-at-a-time search would take."""
+    second output holds the (q, p) row of each solution. Each Newton step and
+    the final convergence filter work on blocks of at most the largest
+    period's seed count, so merging periods makes no array larger than a
+    one-period run does. The line search tries the damping levels 1, d, d^2,
+    ... (max_backtracks of them) in order and accepts a row's first level
+    that lowers the residual enough; it tries as many levels per residual
+    call as keeps levels x rows within the block, so no call is larger than
+    the first Jacobian pass and each row takes the step a one-level-at-a-time
+    search would take."""
     z = np.array(seeds, dtype=float).reshape(-1, 2).copy()
     p = np.broadcast_to(p, len(z))
-    block = len(z)
-    if np.ndim(q):
-        q = np.asarray(q)
-        block = int(np.bincount(q).max(initial=0))
-
-        def power(rows):  # F^q on the given rows of z
-            return RowIterate(m, q[rows])
-    else:
-        fq = Iterate(m, q)
-
-        def power(rows):
-            return fq
+    q_rows = np.broadcast_to(q, len(z))
+    block = int(np.bincount(q_rows).max(initial=1))
     levels = np.cumprod([1.0] + [cfg.newton_damping] * cfg.max_backtracks)[: cfg.max_backtracks]
     active = np.ones(len(z), dtype=bool)
     done = np.zeros(len(z), dtype=bool)
@@ -170,7 +160,7 @@ def _newton_polish(m: MapExpr, q: int | np.ndarray, p: int | np.ndarray, seeds: 
     def newton_step(idx):
         zi = z[idx]
         # G(z) = F^q(z) - z - (p, 0) and DG = DF^q - I, in one fused pass
-        xt, y, jac = power(idx).lift_with_jacobian(zi[:, 0], zi[:, 1])
+        xt, y, jac = RowIterate(m, q_rows[idx]).lift_with_jacobian(zi[:, 0], zi[:, 1])
         g = np.stack([xt - zi[:, 0] - p[idx], y - zi[:, 1]], axis=1)
         jac = jac - np.eye(2)
         ni = np.linalg.norm(g, axis=1)
@@ -190,9 +180,9 @@ def _newton_polish(m: MapExpr, q: int | np.ndarray, p: int | np.ndarray, seeds: 
             lam = levels[k : k + max(1, block // sub.size)]
             cand = z[sub] + lam[:, None, None] * step  # (level, row, 2)
             cand[..., 1] = np.clip(cand[..., 1], 0.0, 1.0)
-            rows = np.tile(sub, len(lam))
             cand_norm = _residual_norm_only(
-                power(rows), cand.reshape(-1, 2), p[rows]).reshape(len(lam), -1)
+                RowIterate(m, np.tile(q_rows[sub], len(lam))), cand.reshape(-1, 2),
+                np.tile(p[sub], len(lam))).reshape(len(lam), -1)
             improved = (cand_norm <= base_norm * (1.0 - 1e-4 * lam[:, None])) | (
                 cand_norm < cfg.newton_target
             )
@@ -208,8 +198,12 @@ def _newton_polish(m: MapExpr, q: int | np.ndarray, p: int | np.ndarray, seeds: 
             break
         for lo in range(0, todo.size, block):
             newton_step(todo[lo:lo + block])
-    ok = _residual_norm_only(power(slice(None)), z, p) < cfg.newton_target * 10
-    return z[ok], (np.stack([q, p], axis=1) if np.ndim(q) else p)[ok]
+    ok = np.empty(len(z), dtype=bool)
+    for lo in range(0, len(z), block):
+        rows = slice(lo, lo + block)
+        norm = _residual_norm_only(RowIterate(m, q_rows[rows]), z[rows], p[rows])
+        ok[rows] = norm < cfg.newton_target * 10
+    return z[ok], np.stack([q_rows[ok], p[ok]], axis=1) if np.ndim(q) else p[ok]
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +382,10 @@ def find_periodic_orbits(m: MapExpr, q: int | Sequence[int],
     lattice = _seed_lattice(cfg.grid, cfg.boundary_margin)
     row_p = np.repeat([w for ps in pss for w in ps], len(lattice))
     seeds = np.tile(lattice, (len(row_p) // len(lattice), 1))
-    # one period stays a scalar q: the polish then runs Iterate and keeps no per-row q
-    rows_per_q = [len(ps) * len(lattice) for ps in pss]
-    row_q = qs[0] if len(qs) == 1 else np.repeat(np.array(qs, dtype=int), rows_per_q)
+    # int32 periods: the polish gathers this per-row array on every call
+    row_q = np.repeat(np.array(qs, dtype=np.int32), [len(ps) * len(lattice) for ps in pss])
     sols, tags = _newton_polish(m, row_q, row_p, seeds, cfg)
-    sol_q, sol_p = tags.T if tags.ndim == 2 else (qs[0], tags)
+    sol_q, sol_p = tags.T
     return [o for k, ps in zip(qs, pss) for w in ps
             for o in _orbits_from_solutions(m, k, w, sols[(sol_q == k) & (sol_p == w)], cfg)]
 

@@ -12,6 +12,7 @@ import pytest
 
 import annact.harness as H
 from annact import (
+    Compose,
     MeasureSpec,
     SearchConfig,
     candidate_windings,
@@ -98,6 +99,14 @@ def test_row_pass_rejects_counts_that_are_not_one_per_row(perturbed_rotation):
         RowIterate(perturbed_rotation, 3)
     with pytest.raises(ValueError):
         RowIterate(perturbed_rotation, [1, 2]).apply_lift(np.zeros(3), np.zeros(3))
+
+
+def test_row_pass_has_no_leaves_to_compose(perturbed_rotation):
+    rows = RowIterate(perturbed_rotation, [1, 2])
+    with pytest.raises(TypeError, match="no leaves"):
+        rows.apply_point(0.1, 0.5)
+    with pytest.raises(TypeError, match="no leaves"):
+        Compose(rows, perturbed_rotation)
 
 
 def test_repeated_or_unmatched_periods_are_rejected(perturbed_rotation):
