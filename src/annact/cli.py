@@ -656,11 +656,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"annact {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_map_args(sp, config_ok=True):
+    def add_map_args(sp):
         sp.add_argument("--map", help="map shorthand, e.g. rigid:a=0.618 or "
                                       "rigid:a=0.618*disk:cx=0.5,cy=0.5,R=0.35,c=50.85")
-        if config_ok:
-            sp.add_argument("--config", help="JSON experiment configuration")
+        sp.add_argument("--config", help="JSON experiment configuration")
 
     sp = sub.add_parser("action", help="action function, mean action, measure actions")
     add_map_args(sp)

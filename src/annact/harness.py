@@ -16,9 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
-from .action import ActionContext, MeasureSpec, action_function_values, measure_action
+from .action import ActionContext, MeasureSpec, measure_action
 from .errors import DegenerateGapError
 from .maps import Compose, LocalDiskTwist, MapExpr, RigidRotation
 from .orbits import PeriodicOrbit, SearchConfig, find_periodic_orbits
@@ -179,16 +177,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _action_range(m: MapExpr, ctx: ActionContext, n: int = 192) -> tuple[float, float]:
-    """Sampled range of the action function over the annulus; every orbit
-    action, being an orbit average of g, must land inside it."""
-    xs = (np.arange(n, dtype=float) + 0.5) / n
-    ys = np.linspace(0.0, 1.0, n + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vals = action_function_values(m, ctx, X, Y)
-    return float(np.min(vals)), float(np.max(vals))
-
-
 def _census(m: MapExpr, windings: dict[int, list[int]],
             cfg: SearchConfig) -> dict[int, tuple[list[WindingCensus], int]]:
     """Each period's winding censuses and the grid of its last search. One
@@ -220,8 +208,8 @@ def verify_theorem(m: MapExpr, mu1: MeasureSpec, mu2: MeasureSpec,
     demand at least two distinct certified orbits (with least period q when q
     is prime). Without q_max the range ends at derived_q_max(delta), taken
     only after the gap passes its error-bar gate. The per-q verdict is
-    INCONCLUSIVE when the gap's own error bar is too large or when a sanity
-    guard trips; FAIL only records an exhausted search.
+    INCONCLUSIVE when the gap's own error bar is too large; FAIL only records
+    an exhausted search.
     """
     cfg = cfg or SearchConfig()
     ctx = ctx or ActionContext.default()
@@ -258,11 +246,6 @@ def verify_theorem(m: MapExpr, mu1: MeasureSpec, mu2: MeasureSpec,
     if q_max < q_thr:
         raise ValueError(f"q_max={q_max} is below the period threshold {q_thr}")
 
-    g_lo, g_hi = _action_range(m, ctx)
-    # pad absorbs both the measure-estimate errors and the sampling bias of
-    # the range itself (the grid can miss sharp extrema of g)
-    guard_pad = GAP_ERROR_FACTOR * gap_err + 0.01 * (g_hi - g_lo) + 1e-9
-
     census = _census(m, {q: candidate_windings(m, q) for q in range(q_thr, q_max + 1)}, cfg)
     results = []
     for q, (censuses, grid_used) in census.items():
@@ -280,14 +263,6 @@ def verify_theorem(m: MapExpr, mu1: MeasureSpec, mu2: MeasureSpec,
             q_notes.append(
                 f"gap error bar crosses 1/q: delta - err = {delta - gap_err:.6g} "
                 f"<= 1/{q}")
-
-        out_of_range = [o for o in all_orbits
-                        if not (g_lo - guard_pad <= o.action <= g_hi + guard_pad)]
-        if out_of_range:
-            verdict = "INCONCLUSIVE"
-            q_notes.append(
-                f"{len(out_of_range)} orbit action(s) outside the sampled action range "
-                f"[{g_lo:.6g}, {g_hi:.6g}]; action evaluation suspect")
 
         prime_ok = None
         if _is_prime(q):

@@ -74,7 +74,9 @@ class PeriodicOrbit:
 
     points[j+1] = eval_lift(points[j]) holds to machine precision; the listing
     starts at the lexicographically least projected point with its lift in
-    [0, 1). residual is the max-norm of F^q(z0) - z0 - (p, 0).
+    [0, 1). residual is the max-norm of F^q(z0) - z0 - (p, 0). action is the
+    mean of the action function over the points, always in the canonical
+    context (beta = y dx, base point (0, 0)).
     """
 
     q: int

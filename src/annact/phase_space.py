@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .util import integrate_path_parameter, wrap_turn
+from .util import gauss_nodes_unit, pairwise_sum, refine_by_doubling, wrap_turn
 
 # Gauss-Legendre nodes per quadrature piece of a path segment
 GAUSS_POINTS = 5
@@ -196,23 +196,27 @@ class QuadratureSpec:
 def line_integral(form: OneForm, path: PolylinePath, quad: QuadratureSpec | None = None) -> float:
     """Integrate a 1-form along a polyline path with composite Gauss rules.
 
-    Each segment starts with enough pieces to respect path.refinement, then the
-    piece count is doubled until two successive estimates agree within quad.tol.
-    Raises NonConvergentError if the budget runs out first.
+    Each segment starts with enough pieces to respect path.refinement, each of
+    GAUSS_POINTS nodes, then the piece count is doubled until two successive
+    estimates agree within quad.tol. Raises NonConvergentError if the budget
+    runs out first.
     """
     quad = quad or QuadratureSpec()
+    nodes, weights = gauss_nodes_unit(GAUSS_POINTS)
     total = 0.0
     for a, b in zip(path.vertices, path.vertices[1:]):
         dx = b.xt - a.xt
         dy = b.y - a.y
+        pieces0 = max(1, int(np.ceil(float(np.hypot(dx, dy)) / path.refinement)))
 
-        def integrand(t, a=a, dx=dx, dy=dy):
+        def rule(scale, a=a, dx=dx, dy=dy, pieces0=pieces0):
+            pieces = pieces0 * scale
+            t0 = np.arange(pieces, dtype=float) / pieces
+            t = (t0[:, None] + nodes[None, :] / pieces).ravel()
+            w = np.tile(weights / pieces, pieces)
             ca, cb = form.coefficients(a.xt + t * dx, np.clip(a.y + t * dy, 0.0, 1.0))
-            return ca * dx + cb * dy
+            return pairwise_sum(w * np.asarray(ca * dx + cb * dy, dtype=float))
 
-        pieces = max(1, int(np.ceil(float(np.hypot(dx, dy)) / path.refinement)))
-        value, _ = integrate_path_parameter(
-            integrand, tol=quad.tol, pieces0=pieces, order=GAUSS_POINTS,
-            max_halvings=quad.max_halvings)
+        value, _ = refine_by_doubling(rule, quad.tol, quad.max_halvings, "path quadrature")
         total += value
     return total

@@ -1,5 +1,5 @@
 """Small numeric helpers: deterministic reductions, Gauss-Legendre rules and
-the composite path integrator."""
+refinement by doubling."""
 
 from __future__ import annotations
 
@@ -41,27 +41,6 @@ def gauss_nodes_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights transplanted to [0, 1]."""
     x, w = gauss_legendre(n)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def integrate_path_parameter(fn: Callable, tol: float = 1e-10, pieces0: int = 4,
-                             order: int = 5, max_halvings: int = 14) -> tuple[float, float]:
-    """Composite Gauss-Legendre over the parameter interval [0, 1].
-
-    fn takes a 1-d array of parameters. The rule starts with pieces0 pieces of
-    order nodes each and halves the pieces until two successive estimates
-    differ by less than tol. Returns (value, last increment); raises
-    NonConvergentError after max_halvings halvings.
-    """
-    nodes, weights = gauss_nodes_unit(order)
-
-    def rule(scale):
-        pieces = pieces0 * scale
-        t0 = np.arange(pieces, dtype=float) / pieces
-        t = (t0[:, None] + nodes[None, :] / pieces).ravel()
-        w = np.tile(weights / pieces, pieces)
-        return pairwise_sum(w * np.asarray(fn(t), dtype=float))
-
-    return refine_by_doubling(rule, tol, max_halvings, "path quadrature")
 
 
 def refine_by_doubling(rule: Callable[[int], float], tol: float, max_doublings: int,

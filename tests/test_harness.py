@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from annact import (
+    ActionContext,
     AnnulusPoint,
     DegenerateGapError,
     MeasureSpec,
@@ -11,6 +12,7 @@ from annact import (
     candidate_windings,
     example_local_perturbation,
     find_periodic_orbits,
+    orbit_action,
     orbit_distance,
     q_threshold,
     verify_theorem,
@@ -260,3 +262,30 @@ def test_orbit_measure_pair_route(linear_twist):
     assert rep.gap == pytest.approx(5 / 32, abs=1e-12)
     assert rep.q_threshold == 7
     assert rep.results[0].verdict == "PASS"
+
+
+def test_verdicts_do_not_depend_on_the_base_point(perturbed_rotation):
+    # a base point shifts the action function by a constant, so the gap and
+    # every verdict of the README verify are the same under either context
+    mu1, mu2 = MeasureSpec.area(), MeasureSpec.boundary_lower()
+    cfg = SearchConfig(grid=48, max_grid=384)
+    default = verify_theorem(perturbed_rotation, mu1, mu2, q_max=8, cfg=cfg)
+    moved = verify_theorem(perturbed_rotation, mu1, mu2, q_max=8, cfg=cfg,
+                           ctx=ActionContext(base_point=AnnulusPoint(0.5, 0.5)))
+    for rep in (default, moved):
+        assert [(r.q, r.verdict, r.distinct_orbits) for r in rep.results] == [
+            (6, "PASS", 28), (7, "PASS", 21), (8, "PASS", 8)]
+        assert rep.overall_verdict == "PASS"
+    assert moved.gap == pytest.approx(default.gap, abs=1e-12)
+
+
+def test_census_orbit_actions_are_canonical_orbit_means(perturbed_rotation):
+    # an orbit's action is the mean of g at its points in the canonical context
+    qs = [6, 7, 8]
+    orbits = find_periodic_orbits(perturbed_rotation, qs,
+                                  [candidate_windings(perturbed_rotation, q) for q in qs],
+                                  SearchConfig(grid=48))
+    assert len(orbits) == 57
+    ctx = ActionContext.default()
+    for o in orbits:
+        assert o.action == orbit_action(perturbed_rotation, ctx, o)
