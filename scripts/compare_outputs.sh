@@ -5,10 +5,12 @@
 #
 # Extracts REV with `git archive` into a temporary directory and runs the same
 # commands with each source tree (inputs always come from the working tree):
-# the README `verify` reports, `example41` at c = 50.85 and at c = 10.5 with
-# --q-max 27, the grid-192 (6, 4) census CSV, `audit --trials 200 --seed 11`,
-# `action` and `rotation` on two maps, and the raw results of the bench
-# `invariants` workload at seeds 0, 1 and 2. Exits 1 on any difference.
+# the `verify` reports of the README config and of the README map with an
+# empirical measure, `example41` at c = 50.85 and at c = 10.5 with --q-max 27
+# and 40, the (6, 4) census CSVs at grids 192 and 384, the README config's
+# q = 6 census at grid 48, `audit --trials 200 --seed 11`, `action` and
+# `rotation` on two maps, and the raw results of the bench `invariants`
+# workload at seeds 0, 1 and 2. Exits 1 on any difference.
 set -euo pipefail
 rev=${1:-HEAD}
 root=$(git rev-parse --show-toplevel)
@@ -19,15 +21,44 @@ git -C "$root" archive "$rev" | tar -x -C "$tmp/rev"
 readme="rigid:a=0.6180339887*disk:cx=0.5,cy=0.5,R=0.35,c=50.85"
 twist_disk="twist:bump,c=0.9*disk:cx=0.37,cy=0.52,R=0.3,c=4.2"
 ex41=(example41 --a 0.6180339887 --center 0.5,0.5 --radius 0.35)
+# the README map with an empirical measure, which steps the one-point orbit kernel
+cat > "$tmp/empirical_config.json" <<'JSON'
+{
+  "schema_version": 1,
+  "map": {
+    "variant": "compose",
+    "outer": {"variant": "rigid_rotation", "a": 0.6180339887},
+    "inner": {
+      "variant": "local_disk_twist",
+      "center": [0.5, 0.5],
+      "radius": 0.35,
+      "profile": {"kind": "poly_bump", "c": 50.85}
+    }
+  },
+  "measures": {
+    "mu1": {"kind": "empirical", "seed": [0.3, 0.55], "n_iter": 20000},
+    "mu2": {"kind": "boundary_lower"}
+  },
+  "search": {"grid": 24},
+  "task": {"q_max": 4},
+  "output": {"dir": "out", "prefix": "report"}
+}
+JSON
 
 run_set() {  # run_set TREE OUT: the outputs of TREE's annact, written under OUT
   local tree=$1 out=$2
   cli() { PYTHONPATH="$tree/src" python3 -m annact.cli "$@"; }
   mkdir -p "$out"
   cli verify --config "$root/bench/inputs/readme_config.json" --out-dir "$out/verify" > /dev/null
+  cli verify --config "$tmp/empirical_config.json" --out-dir "$out/verify_empirical" > /dev/null
   cli "${ex41[@]}" --c 50.85 --out-dir "$out/example41_c50.85" > /dev/null
   cli "${ex41[@]}" --c 10.5 --q-max 27 --out-dir "$out/example41_c10.5" > /dev/null
-  cli orbits --map "$readme" --q 6 --p 4 --grid 192 --out "$out/census_192.csv" > /dev/null
+  cli "${ex41[@]}" --c 10.5 --q-max 40 --out-dir "$out/example41_c10.5_q40" > /dev/null
+  for grid in 192 384; do
+    cli orbits --map "$readme" --q 6 --p 4 --grid "$grid" --out "$out/census_$grid.csv" > /dev/null
+  done
+  cli orbits --config "$root/bench/inputs/readme_config.json" --q 6 --grid 48 \
+    --out "$out/orbits_q6_48.csv" > /dev/null
   cli audit --trials 200 --seed 11 > "$out/audit.txt"
   for m in "$readme" "$twist_disk"; do
     cli action --map "$m" --point 0.5,0.5

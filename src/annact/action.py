@@ -387,11 +387,12 @@ def empirical_orbit(m: MapExpr, seed: AnnulusPoint, n: int) -> tuple[np.ndarray,
     arrays, shared by an empirical measure's action (the mean of g over the
     first n points) and its rotation number (the mean of the n steps).
 
-    The memo keeps the last two orbits: enough for verify_theorem's order
-    a1, a2, r1, r2 with two empirical measures, at 32 (n + 1) bytes each
-    (0.64 MB at n = 2e4, 3.2 MB at the default n = 1e5). A map hashes by
-    identity, so only the same map object hits; an equal map built again
-    steps its orbit anew.
+    The memo keeps the last two orbits, at 32 (n + 1) bytes each (0.64 MB
+    at n = 2e4, 3.2 MB at the default n = 1e5). verify_theorem reads each
+    measure's action and then its rotation number, so one slot would serve
+    it; the second keeps both orbits of two empirical measures for a caller
+    that reads both actions first. A map hashes by identity, so only
+    the same map object hits; an equal map built again steps its orbit anew.
     """
     xs, ys = orbit_arrays(m, seed.x, seed.y, n + 1)
     xs.flags.writeable = False

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from .action import ActionContext, MeasureSpec, measure_action
 from .errors import DegenerateGapError
@@ -213,32 +214,29 @@ def verify_theorem(m: MapExpr, mu1: MeasureSpec, mu2: MeasureSpec,
     """
     cfg = cfg or SearchConfig()
     ctx = ctx or ActionContext.default()
-    notes: list[str] = []
 
     # estimates are gathered leniently; the error-bar gate below decides
     # whether they are trustworthy enough to derive a period threshold
-    a1 = measure_action(m, ctx, mu1, tol=math.inf)
-    a2 = measure_action(m, ctx, mu2, tol=math.inf)
-    r1 = measure_rotation(m, mu1)
-    r2 = measure_rotation(m, mu2)
-    s1 = MeasureSummary(mu1.describe(), a1.value, a1.error_estimate, r1.value, r1.error_estimate)
-    s2 = MeasureSummary(mu2.describe(), a2.value, a2.error_estimate, r2.value, r2.error_estimate)
-    delta = abs(a1.value - a2.value)
-    gap_err = a1.error_estimate + a2.error_estimate
+    summaries = []
+    for mu in (mu1, mu2):
+        a = measure_action(m, ctx, mu, tol=math.inf)
+        r = measure_rotation(m, mu)
+        summaries.append(MeasureSummary(mu.describe(), a.value, a.error_estimate,
+                                        r.value, r.error_estimate))
+    s1, s2 = summaries
+    delta = abs(s1.action - s2.action)
+    gap_err = s1.action_error + s2.action_error
 
     if delta <= 0.0:
         raise DegenerateGapError(
             "the two measures have equal actions; no period threshold exists")
 
+    report = partial(VerificationReport, map_description=m.describe(),
+                     mu1=s1, mu2=s2, gap=delta, gap_error=gap_err)
     if delta < GAP_ERROR_FACTOR * gap_err:
-        return VerificationReport(
-            map_description=m.describe(),
-            mu1=s1, mu2=s2, gap=delta, gap_error=gap_err,
-            q_threshold=None, results=(),
-            overall_verdict="INCONCLUSIVE",
-            notes=(f"gap {delta:.3e} does not exceed {GAP_ERROR_FACTOR:g}x its error "
-                   f"estimate {gap_err:.3e}; threshold not trusted",),
-        )
+        return report(q_threshold=None, results=(), overall_verdict="INCONCLUSIVE",
+                      notes=(f"gap {delta:.3e} does not exceed {GAP_ERROR_FACTOR:g}x its error "
+                             f"estimate {gap_err:.3e}; threshold not trusted",))
 
     q_thr = q_threshold(delta)
     if q_max is None:
@@ -281,21 +279,15 @@ def verify_theorem(m: MapExpr, mu1: MeasureSpec, mu2: MeasureSpec,
             notes=tuple(q_notes),
         ))
 
-    verdicts = [r.verdict for r in results]
-    if any(v == "FAIL" for v in verdicts):
+    verdicts = {r.verdict for r in results}
+    if "FAIL" in verdicts:
         overall = "FAIL"
-        notes.append(FAIL_NOTE)
-    elif any(v == "INCONCLUSIVE" for v in verdicts):
+    elif "INCONCLUSIVE" in verdicts:
         overall = "INCONCLUSIVE"
     else:
         overall = "PASS"
-
-    return VerificationReport(
-        map_description=m.describe(),
-        mu1=s1, mu2=s2, gap=delta, gap_error=gap_err,
-        q_threshold=q_thr, results=tuple(results),
-        overall_verdict=overall, notes=tuple(notes),
-    )
+    return report(q_threshold=q_thr, results=tuple(results), overall_verdict=overall,
+                  notes=(FAIL_NOTE,) if overall == "FAIL" else ())
 
 
 def local_perturbation_map(a: float, center: AnnulusPoint, R: float, c: float) -> Compose:

@@ -25,21 +25,19 @@ periods at once; each row takes exactly Iterate's steps.
 
 step, apply_lift and the routines built on them are vectorized over numpy
 arrays. One point has its own pass: each leaf's step_point(xt, y) repeats
-step's operations on Python floats, and apply_point runs it over leaves().
-It rounds exactly as step does on scalars (0-d arrays) and makes no numpy
-call. eval_map, eval_lift and boundary_displacement take it, and a
-scalar-start orbit_arrays runs one loop over the leaves' bound step_point
-methods. Array starts keep the array pass, which numpy may round differently
-in the last bit. point_margin is kink_margin's Python-float copy, for the
-bisection of a path's support crossings.
+step's operations on Python floats, and apply_point runs it over leaves(),
+with no numpy call. eval_map, eval_lift and boundary_displacement take it,
+and a scalar-start orbit_arrays runs one loop over the leaves' bound
+step_point methods. Every pass rounds a point alike: an array row, a 0-d
+array and a Python float get the same bits, since the built-in profiles
+square by a multiply. point_margin is kink_margin's Python-float copy, for
+the bisection of a path's support crossings.
 
 A disk twist is the identity off its support, and one kernel, _support,
 decides its support for numpy input: u^2 + v^2 < R^2 (1 + 1e-9) screens the
 points and np.hypot(u, v) < R decides on those. step and action rotate the
-support points only and scatter them into the unchanged rest, with the bits
-of a pass over every point. Arrays gather their support rows; a 0-d input
-stays one numpy float, because numpy squares one float by libm pow but an
-array by a multiply, which may differ in the last bit. step_point is the
+support rows only and scatter them into the unchanged rest, with the bits
+of a pass over every point; a 0-d input is one row. step_point is the
 Python-float copy of step and reads the same screen bound. It takes the
 radius from abs(complex(u, v)): CPython's complex abs calls the C library's
 hypot, the function numpy's hypot calls, while math.hypot has its own
@@ -139,7 +137,8 @@ class PolyBumpProfile(TwistProfile):
         self.c = float(c)
 
     def phi(self, y):
-        return 16.0 * self.c * (y * (1.0 - y)) ** 2
+        w = y * (1.0 - y)
+        return 16.0 * self.c * (w * w)
 
     def dphi(self, y):
         y = np.asarray(y, dtype=float)
@@ -287,21 +286,23 @@ class PolyBumpRadial(RadialProfile):
         self.knots = (0.0, self.R)
 
     def phi(self, r):
-        t = 1.0 - (r / self.R) ** 2
+        s = r / self.R
+        t = 1.0 - s * s
         return self.c * t * t
 
     def dphi(self, r):
         r = np.asarray(r, dtype=float)
-        return -(4.0 * self.c / self.R**2) * r * (1.0 - (r / self.R) ** 2)
+        s = r / self.R
+        return -(4.0 * self.c / (self.R * self.R)) * r * (1.0 - s * s)
 
     def dphi_over_r(self, r):
-        r = np.asarray(r, dtype=float)
-        return -(4.0 * self.c / self.R**2) * (1.0 - (r / self.R) ** 2)
+        s = np.asarray(r, dtype=float) / self.R
+        return -(4.0 * self.c / (self.R * self.R)) * (1.0 - s * s)
 
     def action_radial(self, r):
         r = np.asarray(r, dtype=float)
         R = self.R
-        return -(2.0 * self.c / R**2) * (R**4 / 12.0 - r**4 / 4.0 + r**6 / (6.0 * R**2))
+        return -(2.0 * self.c / (R * R)) * (R**4 / 12.0 - r**4 / 4.0 + r**6 / (6.0 * (R * R)))
 
     def to_config(self):
         return {"kind": "poly_bump", "c": self.c}
@@ -401,7 +402,7 @@ class MapExpr:
 
     def step_point(self, xt: float, y: float) -> tuple[float, float]:
         """One leaf's lift at one point in Python floats, bit-identical to
-        step() on scalars. Leaves override it with math-module arithmetic;
+        step() at that point. Leaves override it with math-module arithmetic;
         this default rounds the same because it is step() itself."""
         xt1, y1, _ = self.step(xt, y)
         return float(xt1), float(y1)
@@ -422,8 +423,8 @@ class MapExpr:
         return None
 
     def point_margin(self, xt: float, y: float) -> float | None:
-        """kink_margin at one point in Python floats, bit-identical to it on
-        scalars; the default is kink_margin itself."""
+        """kink_margin at one point in Python floats, bit-identical to it at
+        that point; the default is kink_margin itself."""
         margin = self.kink_margin(xt, y)
         return None if margin is None else float(margin)
 
@@ -439,7 +440,7 @@ class MapExpr:
 
     def apply_point(self, xt: float, y: float) -> tuple[float, float]:
         """Lift of one point in Python floats: the point pass over leaves(),
-        bit-identical to apply_lift on scalars."""
+        bit-identical to apply_lift at that point."""
         xt, y = float(xt), float(y)
         for leaf in self.leaves():
             xt, y = leaf.step_point(xt, y)
@@ -575,7 +576,8 @@ class LocalDiskTwist(MapExpr):
     step and action share one support kernel, _support: offsets on every
     point, then the radius, rotation and differential on the support points
     only (those with r < R). Every other point keeps its place, the identity
-    differential and action 0. step_point is the Python-float copy of step.
+    differential and action 0. step_point is the Python-float copy of step,
+    with its bits.
     """
 
     def __init__(self, center: AnnulusPoint, radius: float, profile: RadialProfile):
@@ -631,9 +633,8 @@ class LocalDiskTwist(MapExpr):
         inputs broadcast to shape and flattened, rows the index of the points
         with hypot(u, v) < R (None when there are none) and u, v, r on them.
 
-        On arrays u^2 + v^2 screens and hypot decides on the survivors, which
-        are gathered with take. A 0-d input is not gathered: its index is 0
-        and u, v, r are numpy floats, so ** 2 rounds as on one float (libm pow).
+        u^2 + v^2 screens and hypot decides on the survivors, which are
+        gathered with take; a 0-d input is one row.
         """
         xt = np.asarray(xt, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -641,10 +642,6 @@ class LocalDiskTwist(MapExpr):
         if y.shape != shape:
             shape = np.broadcast_shapes(shape, y.shape)
             xt, y = np.broadcast_to(xt, shape), np.broadcast_to(y, shape)
-        if not shape:
-            u, v = self.chart_offsets(xt, y)
-            r = np.hypot(u, v)
-            return shape, xt.ravel(), y.ravel(), (0 if r < self.radius else None), u, v, r
         xt = xt.ravel()
         y = y.ravel()
         u, v = self.chart_offsets(xt, y)
@@ -886,10 +883,9 @@ def orbit_arrays(m: MapExpr, x, y, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     A scalar start takes the point pass: one loop over the leaves' bound
     step_point methods on Python floats, storing each point through a
-    memoryview, so no step makes a numpy call. It is bit-identical to
-    stepping the point through numpy one 0-d array at a time. Array starts
-    step all points at once through apply_lift; numpy may round that path
-    differently in the last bit.
+    memoryview, so no step makes a numpy call. Array starts step all points
+    at once through apply_lift. Every pass rounds a point alike, so each
+    column of an array start is that start's scalar orbit bit for bit.
     """
     xt = np.asarray(x, dtype=float)
     yy = np.asarray(y, dtype=float)

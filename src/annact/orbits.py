@@ -165,7 +165,8 @@ def _newton_polish(m: MapExpr, q: int | np.ndarray, p: int | np.ndarray, seeds: 
         xt, y, jac = RowIterate(m, q_rows[idx]).lift_with_jacobian(zi[:, 0], zi[:, 1])
         g = np.stack([xt - zi[:, 0] - p[idx], y - zi[:, 1]], axis=1)
         jac = jac - np.eye(2)
-        ni = np.linalg.norm(g, axis=1)
+        # the norm of _residual_norm_only, so the line search compares like with like
+        ni = np.hypot(g[:, 0], g[:, 1])
         newly_done = ni < cfg.newton_target
         done[idx[newly_done]] = True
         live = ~newly_done

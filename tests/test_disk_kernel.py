@@ -73,8 +73,9 @@ def _assert_same(got, want):
 SCREEN_POINTS = [(0.3513912854707041, 0.2989640580245656),
                  (0.37154192214860315, 0.7144726608095411),
                  (0.2665228529411123, 0.589377971565943)]
-# ... and points where (r / R) ** 2 on one float (libm pow) and on a
-# 1-element array (a multiply) round differently
+# ... and points where squaring r / R by libm pow (numpy's ** 2 on one
+# float) and by a multiply round differently; the profiles square by a
+# multiply, so a 0-d input and an array row must agree there
 POW_POINTS = [(0.4158288928848194, 0.6427654425194721),
               (0.4891696941275533, 0.5808610751381349),
               (0.6722685023943342, 0.5284310898563451)]
@@ -199,6 +200,22 @@ def test_action_equals_full_array_kernel(kind, cx, rng):
         got, want = leaf.action(xt, y), _where_action(leaf, xt, y)
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("kind", sorted(PROFILES))
+@pytest.mark.parametrize("cx", [0.5, 0.0])
+def test_zero_d_input_is_one_row(kind, cx):
+    leaf = LocalDiskTwist(AnnulusPoint(cx, 0.5), R, PROFILES[kind])
+    for x, y in POW_POINTS:
+        x += cx - 0.5
+        for with_jacobian in (False, True):
+            got = leaf.step(np.asarray(x), np.asarray(y), with_jacobian)
+            row = leaf.step(np.array([x]), np.array([y]), with_jacobian)
+            assert np.shape(got[0]) == np.shape(got[1]) == ()
+            _assert_same(got, [None if w is None else w[0] for w in row])
+        got = leaf.action(np.asarray(x), np.asarray(y))
+        assert np.shape(got) == ()
+        assert _bits(got) == _bits(leaf.action(np.array([x]), np.array([y]))[0])
 
 
 def test_action_outside_rows_skip_the_rotation(monkeypatch):

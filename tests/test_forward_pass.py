@@ -65,8 +65,8 @@ def test_orbit_arrays_follow_the_lift(rng, perturbed_rotation):
     for j in range(1, 8):
         # the same one-point arithmetic, so the same bits
         assert (xs[j], ys[j]) == Iterate(perturbed_rotation, j).apply_lift(0.3, 0.55)
-    # array starts may round differently in the last bit, and the strong
-    # twist amplifies that along the orbit, so only a few steps are compared
+    # array starts: each column is its start's orbit (bit for bit in
+    # test_point_kernel.py); here a few steps within a tolerance
     starts = rng.uniform(low=(0.0, 0.05), high=(1.0, 0.95), size=(5, 2))
     bx, by = orbit_arrays(perturbed_rotation, starts[:, 0], starts[:, 1], 4)
     assert bx.shape == (4, 5)

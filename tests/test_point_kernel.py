@@ -132,6 +132,33 @@ def test_scalar_orbit_matches_numpy_point_loop_on_random_maps(rng):
         _assert_orbit_matches_oracle(m, float(x0), float(y0), 2_000)
 
 
+def _assert_columns_are_point_orbits(m, starts, n):
+    """Every pass rounds a point alike: each column of an array-start orbit
+    is that start's one-point orbit, bit for bit."""
+    bx, by = orbit_arrays(m, starts[:, 0], starts[:, 1], n)
+    for k, (x0, y0) in enumerate(starts):
+        sx, sy = orbit_arrays(m, float(x0), float(y0), n)
+        assert np.array_equal(bx[:, k].view(np.int64), sx.view(np.int64)), (m, x0, y0)
+        assert np.array_equal(by[:, k].view(np.int64), sy.view(np.int64)), (m, x0, y0)
+
+
+def test_array_start_orbits_equal_point_orbits_on_the_readme_map(rng, perturbed_rotation):
+    _assert_columns_are_point_orbits(perturbed_rotation, rng.uniform(0.0, 1.0, (200, 2)), 200)
+
+
+def test_array_start_orbits_equal_point_orbits_on_random_maps(rng):
+    for _ in range(12):
+        m = random_composition(rng, max_leaves=4)
+        _assert_columns_are_point_orbits(m, rng.uniform(0.0, 1.0, (100, 2)), 200)
+
+
+@pytest.mark.parametrize("kind", ["twist-tabulated", "twist-negated", "disk-tabulated", "disk-negated"])
+def test_array_start_orbits_equal_point_orbits_on_tabulated_and_negated_profiles(kind, rng):
+    for leaf in LEAVES[kind]:
+        m = Compose(RigidRotation(GOLDEN), leaf)
+        _assert_columns_are_point_orbits(m, rng.uniform(0.0, 1.0, (50, 2)), 200)
+
+
 def test_scalar_start_makes_no_numpy_step(monkeypatch, perturbed_rotation):
     calls = []
     for cls in (RigidRotation, Twist, LocalDiskTwist):
