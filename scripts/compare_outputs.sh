@@ -6,11 +6,12 @@
 # Extracts REV with `git archive` into a temporary directory and runs the same
 # commands with each source tree (inputs always come from the working tree):
 # the `verify` reports of the README config and of the README map with an
-# empirical measure, `example41` at c = 50.85 and at c = 10.5 with --q-max 27
-# and 40, the (6, 4) census CSVs at grids 192 and 384, the README config's
-# q = 6 census at grid 48, `audit --trials 200 --seed 11`, `action` and
-# `rotation` on two maps, and the raw results of the bench `invariants`
-# workload at seeds 0, 1 and 2. Exits 1 on any difference.
+# empirical measure of 2e4 and of 1e5 steps (CI's configs; the second runs
+# the point pass at the CLI's default scale), `example41` at c = 50.85 and at
+# c = 10.5 with --q-max 27 and 40, the (6, 4) census CSVs at grids 192 and
+# 384, the README config's q = 6 census at grid 48, `audit --trials 200
+# --seed 11`, `action` and `rotation` on two maps, and the raw results of the
+# bench `invariants` workload at seeds 0 to 5. Exits 1 on any difference.
 set -euo pipefail
 rev=${1:-HEAD}
 root=$(git rev-parse --show-toplevel)
@@ -44,6 +45,12 @@ cat > "$tmp/empirical_config.json" <<'JSON'
   "output": {"dir": "out", "prefix": "report"}
 }
 JSON
+python3 - "$tmp" <<'PY'
+import json, sys
+cfg = json.load(open(f"{sys.argv[1]}/empirical_config.json"))
+cfg["measures"]["mu1"]["n_iter"] = 100000
+json.dump(cfg, open(f"{sys.argv[1]}/empirical_1e5_config.json", "w"))
+PY
 
 run_set() {  # run_set TREE OUT: the outputs of TREE's annact, written under OUT
   local tree=$1 out=$2
@@ -51,6 +58,7 @@ run_set() {  # run_set TREE OUT: the outputs of TREE's annact, written under OUT
   mkdir -p "$out"
   cli verify --config "$root/bench/inputs/readme_config.json" --out-dir "$out/verify" > /dev/null
   cli verify --config "$tmp/empirical_config.json" --out-dir "$out/verify_empirical" > /dev/null
+  cli verify --config "$tmp/empirical_1e5_config.json" --out-dir "$out/verify_empirical_1e5" > /dev/null
   cli "${ex41[@]}" --c 50.85 --out-dir "$out/example41_c50.85" > /dev/null
   cli "${ex41[@]}" --c 10.5 --q-max 27 --out-dir "$out/example41_c10.5" > /dev/null
   cli "${ex41[@]}" --c 10.5 --q-max 40 --out-dir "$out/example41_c10.5_q40" > /dev/null
@@ -66,7 +74,7 @@ run_set() {  # run_set TREE OUT: the outputs of TREE's annact, written under OUT
   done > "$out/action_rotation.txt"
   PYTHONPATH="$tree/src:$root/bench" python3 - "$out.work" > "$out/invariants.txt" <<'PY'
 import pathlib, sys, workloads
-for seed in (0, 1, 2):
+for seed in range(6):
     inputs = workloads.make_inputs("invariants", seed, pathlib.Path(sys.argv[1]))
     print(repr(workloads.run_instance("invariants", inputs)))
 PY

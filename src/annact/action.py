@@ -30,7 +30,7 @@ from .phase_space import (
     OneForm,
     PolylinePath,
     ShiftedBeta,
-    line_integral,
+    _line_integrals,
 )
 from .quadrature import tree_field_integral
 from .util import pairwise_sum
@@ -210,39 +210,46 @@ def _point_stage_margin(m: MapExpr, xt: float, y: float, stage: int) -> float:
     raise IndexError("no such kink stage")
 
 
-def _segment_breakpoints(m: MapExpr, a: LiftedPoint, b: LiftedPoint,
-                         scan: int = 512) -> list[float]:
-    """Parameter values in (0, 1) where the segment a->b crosses the support
-    circle of some disk-twist stage; located by a sign scan plus bisection."""
-    dx, dy = b.xt - a.xt, b.y - a.y
+def _path_breakpoints(m: MapExpr, vertices, scan: int = 512) -> list[list[float]]:
+    """For each segment of the polyline through vertices, the parameter
+    values in (0, 1) where it crosses the support circle of some disk-twist
+    stage: one sign scan of _bump_stage_margins over the scan + 1 points of
+    every segment, then a bisection of each sign change on the point pass."""
+    segs = [(a.xt, a.y, b.xt - a.xt, b.y - a.y) for a, b in zip(vertices, vertices[1:])]
+    ax, ay, dx, dy = (np.array(col)[:, None] for col in zip(*segs))
     ts = np.linspace(0.0, 1.0, scan + 1)
-    margins = _bump_stage_margins(m, a.xt + ts * dx, np.clip(a.y + ts * dy, 0.0, 1.0))
-    cuts: list[float] = []
+    margins = _bump_stage_margins(m, (ax + ts * dx).ravel(), np.clip(ay + ts * dy, 0.0, 1.0).ravel())
+    cuts: list[list[float]] = [[] for _ in segs]
     for stage, vals in enumerate(margins):
-        sign_flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        for i in sign_flip:
-            lo, hi = float(ts[i]), float(ts[i + 1])
+        vals = vals.reshape(len(segs), scan + 1)
+        for k, i in zip(*np.nonzero(np.sign(vals[:, :-1]) * np.sign(vals[:, 1:]) < 0)):
+            cuts[k].append(_bisect_crossing(m, segs[k], stage, float(ts[i]), float(ts[i + 1])))
+    return [sorted(t for t in c if 1e-12 < t < 1.0 - 1e-12) for c in cuts]
 
-            def margin(t, stage=stage):
-                y = min(max(a.y + t * dy, 0.0), 1.0)
-                return _point_stage_margin(m, a.xt + t * dx, y, stage)
 
-            flo = margin(lo)
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fm = margin(mid)
-                # a probe that moves neither bound leaves (lo, hi, flo) as they
-                # were, so every later probe would repeat it
-                if flo * fm <= 0:
-                    if mid == hi:
-                        break
-                    hi = mid
-                elif mid == lo:
-                    break
-                else:
-                    lo, flo = mid, fm
-            cuts.append(0.5 * (lo + hi))
-    return sorted(t for t in cuts if 1e-12 < t < 1.0 - 1e-12)
+def _bisect_crossing(m: MapExpr, seg, stage: int, lo: float, hi: float) -> float:
+    """The parameter in [lo, hi] where the stage-th margin changes sign along
+    the segment seg = (a.xt, a.y, dx, dy)."""
+    xt0, y0, dx, dy = seg
+
+    def margin(t):
+        return _point_stage_margin(m, xt0 + t * dx, min(max(y0 + t * dy, 0.0), 1.0), stage)
+
+    flo = margin(lo)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fm = margin(mid)
+        # a probe that moves neither bound leaves (lo, hi, flo) as they
+        # were, so every later probe would repeat it
+        if flo * fm <= 0:
+            if mid == hi:
+                break
+            hi = mid
+        elif mid == lo:
+            break
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
 
 
 class _PullbackForm(OneForm):
@@ -257,6 +264,39 @@ class _PullbackForm(OneForm):
         return w * jac[..., 0, 0] - (y + self.c), w * jac[..., 0, 1]
 
 
+def _cut_path(m: MapExpr, path: PolylinePath) -> PolylinePath:
+    """path with a vertex at each support-circle crossing of its segments."""
+    vertices = [path.vertices[0]]
+    for a, b, ts in zip(path.vertices, path.vertices[1:], _path_breakpoints(m, path.vertices)):
+        dx, dy = b.xt - a.xt, b.y - a.y
+        cuts = [LiftedPoint(a.xt + t * dx, min(max(a.y + t * dy, 0.0), 1.0)) for t in ts]
+        for v in cuts + [b]:  # coincident cuts of several stages give one vertex
+            if v != vertices[-1]:
+                vertices.append(v)
+    return PolylinePath(tuple(vertices), path.refinement)
+
+
+def _path_actions(m: MapExpr, ctx: ActionContext, p: AnnulusPoint,
+                  paths: list[PolylinePath | None]) -> list[float]:
+    """g(p) along each path (None: the straight lifted segment from x0 to p),
+    every path cut first and then all integrated together by _line_integrals."""
+    routes = []
+    for path in paths:
+        if path is None:
+            if p == ctx.base_point:
+                routes.append(None)
+                continue
+            path = PolylinePath.straight(ctx.base_point.lift(), p.lift())
+        for end, point in ((path.vertices[0], ctx.base_point), (path.vertices[-1], p)):
+            shift = end.xt - point.x
+            if abs(shift - round(shift)) > 1e-12 or abs(end.y - point.y) > 1e-12:
+                raise ValueError(f"path end ({end.xt}, {end.y}) is not a lift of "
+                                 f"({point.x}, {point.y})")
+        routes.append(_cut_path(m, path))
+    values = iter(_line_integrals(_PullbackForm(m, ctx.shift), [r for r in routes if r is not None]))
+    return [0.0 if r is None else next(values) for r in routes]
+
+
 def action_function_via_path(m: MapExpr, ctx: ActionContext, p: AnnulusPoint,
                              path: PolylinePath | None = None) -> float:
     """g(p) by integrating f*beta - beta along a lifted path from the base point.
@@ -267,34 +307,23 @@ def action_function_via_path(m: MapExpr, ctx: ActionContext, p: AnnulusPoint,
     must start at a lift of the base point and end at a lift of p, within
     1e-12 up to whole turns in x, or ValueError is raised. Each segment gets
     a vertex where it crosses a disk-twist support circle, because the
-    integrand is only C^1 there and quadrature would lose its order.
+    integrand is only C^1 there and quadrature would lose its order; one
+    scan of the kink margins over all segments finds the crossings. Then
+    line_integral refines every segment at once, one integrand call per
+    doubling round.
     """
-    if path is None:
-        if p == ctx.base_point:
-            return 0.0
-        path = PolylinePath.straight(ctx.base_point.lift(), p.lift())
-    for end, point in ((path.vertices[0], ctx.base_point), (path.vertices[-1], p)):
-        shift = end.xt - point.x
-        if abs(shift - round(shift)) > 1e-12 or abs(end.y - point.y) > 1e-12:
-            raise ValueError(f"path end ({end.xt}, {end.y}) is not a lift of "
-                             f"({point.x}, {point.y})")
-    vertices = [path.vertices[0]]
-    for a, b in zip(path.vertices, path.vertices[1:]):
-        dx, dy = b.xt - a.xt, b.y - a.y
-        cuts = [LiftedPoint(a.xt + t * dx, min(max(a.y + t * dy, 0.0), 1.0))
-                for t in _segment_breakpoints(m, a, b)]
-        for v in cuts + [b]:  # coincident cuts of several stages give one vertex
-            if v != vertices[-1]:
-                vertices.append(v)
-    path = PolylinePath(tuple(vertices), path.refinement)
-    return line_integral(_PullbackForm(m, ctx.shift), path)
+    return _path_actions(m, ctx, p, [path])[0]
 
 
 def path_independence_defect(m: MapExpr, ctx: ActionContext, p: AnnulusPoint,
                              alternate_path: PolylinePath) -> float:
-    """|g via the straight path - g via alternate_path|; closedness check."""
-    straight = action_function_via_path(m, ctx, p)
-    alternate = action_function_via_path(m, ctx, p, path=alternate_path)
+    """|g via the straight path - g via alternate_path|; closedness check.
+
+    Both paths are cut first and then integrated together, so one integrand
+    call per doubling round serves the segments of both; each value is the
+    one action_function_via_path gives on its own.
+    """
+    straight, alternate = _path_actions(m, ctx, p, [None, alternate_path])
     return abs(straight - alternate)
 
 

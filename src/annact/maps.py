@@ -24,12 +24,17 @@ pass a different number of times per row, for a Newton census over several
 periods at once; each row takes exactly Iterate's steps.
 
 step, apply_lift and the routines built on them are vectorized over numpy
-arrays. One point has its own pass: each leaf's step_point(xt, y) repeats
-step's operations on Python floats, and apply_point runs it over leaves(),
-with no numpy call. eval_map, eval_lift and boundary_displacement take it,
-and a scalar-start orbit_arrays runs one loop over the leaves' bound
-step_point methods. Every pass rounds a point alike: an array row, a 0-d
-array and a Python float get the same bits, since the built-in profiles
+arrays. One point has its own pass, compiled from source: each leaf's
+point_source writes its step on Python floats once, as source lines with no
+numpy call, and names its numbers through a PointSource, so they never enter
+the text. A map's point pass (point_pass) is its leaves' lines in order, an
+Iterate as an inner loop, compiled once per text, that is per sequence of
+leaf kinds, and bound to the map's numbers as the globals of its functions.
+apply_point steps one point through it; eval_map, eval_lift and
+boundary_displacement take it, a scalar-start orbit_arrays runs its orbit
+loop, whose body is the map's lines, and a built-in leaf's step_point is its
+own lines compiled alone. Every pass rounds a point alike: an array row, a
+0-d array and a Python float get the same bits, since the built-in profiles
 square by a multiply. point_margin is kink_margin's Python-float copy, for
 the bisection of a path's support crossings.
 
@@ -37,7 +42,7 @@ A disk twist is the identity off its support, and one kernel, _support,
 decides its support for numpy input: u^2 + v^2 < R^2 (1 + 1e-9) screens the
 points and np.hypot(u, v) < R decides on those. step and action rotate the
 support rows only and scatter them into the unchanged rest, with the bits
-of a pass over every point; a 0-d input is one row. step_point is the
+of a pass over every point; a 0-d input is one row. Its point source is the
 Python-float copy of step and reads the same screen bound. It takes the
 radius from abs(complex(u, v)): CPython's complex abs calls the C library's
 hypot, the function numpy's hypot calls, while math.hypot has its own
@@ -46,9 +51,12 @@ rounding.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import types
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -102,6 +110,12 @@ class TwistProfile:
     def negated(self) -> "TwistProfile":
         return _NegatedTwistProfile(self)
 
+    def point_phi(self, src: "PointSource", y: str) -> str:
+        """A Python-float expression for phi at the float named y, for the
+        point pass; it may add lines that compute temporaries first. This
+        default calls phi, and float() unwraps a spline's 0-d array."""
+        return f"float({src.const('phi', self.phi)}({y}))"
+
     def to_config(self) -> dict:
         raise NotImplementedError
 
@@ -118,6 +132,9 @@ class LinearProfile(TwistProfile):
     def potential(self, y):
         y = np.asarray(y, dtype=float)
         return 0.5 * y * y
+
+    def point_phi(self, src, y):
+        return y
 
     def to_config(self):
         return {"kind": "linear"}
@@ -147,6 +164,10 @@ class PolyBumpProfile(TwistProfile):
     def potential(self, y):
         y = np.asarray(y, dtype=float)
         return 32.0 * self.c * (y**3 / 3.0 - 0.75 * y**4 + 0.4 * y**5)
+
+    def point_phi(self, src, y):
+        src.add(f"w = {y} * (1.0 - {y})")
+        return f"16.0 * {src.const('c', self.c)} * (w * w)"
 
     def to_config(self):
         return {"kind": "poly_bump", "c": self.c}
@@ -209,6 +230,9 @@ class _NegatedTwistProfile(TwistProfile):
     def potential(self, y):
         return -self._base.potential(y)
 
+    def point_phi(self, src, y):
+        return f"-({self._base.point_phi(src, y)})"
+
     def negated(self):
         return self._base
 
@@ -260,6 +284,11 @@ class RadialProfile:
     def negated(self) -> "RadialProfile":
         return _NegatedRadialProfile(self)
 
+    def point_phi(self, src: "PointSource", r: str) -> str:
+        """A Python-float expression for phi at the float named r, as
+        TwistProfile.point_phi."""
+        return f"float({src.const('phi', self.phi)}({r}))"
+
     def monotone_defect(self, n: int = 256) -> float:
         """max(phi', 0) sampled on [0, R]; zero for admissible profiles."""
         rs = np.linspace(0.0, self.R, n)
@@ -289,6 +318,10 @@ class PolyBumpRadial(RadialProfile):
         s = r / self.R
         t = 1.0 - s * s
         return self.c * t * t
+
+    def point_phi(self, src, r):
+        src.add(f"s = {r} / {src.const('R', self.R)}", "t = 1.0 - s * s")
+        return f"{src.const('c', self.c)} * t * t"
 
     def dphi(self, r):
         r = np.asarray(r, dtype=float)
@@ -374,6 +407,9 @@ class _NegatedRadialProfile(RadialProfile):
     def action_radial(self, r):
         return -self._base.action_radial(r)
 
+    def point_phi(self, src, r):
+        return f"-({self._base.point_phi(src, r)})"
+
     def negated(self):
         return self._base
 
@@ -402,10 +438,16 @@ class MapExpr:
 
     def step_point(self, xt: float, y: float) -> tuple[float, float]:
         """One leaf's lift at one point in Python floats, bit-identical to
-        step() at that point. Leaves override it with math-module arithmetic;
-        this default rounds the same because it is step() itself."""
+        step() at that point. The built-in leaves compile their point_source
+        into it; this default rounds the same because it is step() itself."""
         xt1, y1, _ = self.step(xt, y)
         return float(xt1), float(y1)
+
+    def point_source(self, src: "PointSource") -> None:
+        """Add this map's step on the Python floats xt and y to src, as lines
+        that rebind xt and y; any constant goes through src.const. This
+        default, for a leaf with no source of its own, calls step_point."""
+        src.add(f"xt, y = {src.const('step', self.step_point)}(xt, y)")
 
     def action(self, xt, y):
         """One leaf's closed-form action function g, dg = f*beta - beta with
@@ -439,12 +481,13 @@ class MapExpr:
         return xt, y
 
     def apply_point(self, xt: float, y: float) -> tuple[float, float]:
-        """Lift of one point in Python floats: the point pass over leaves(),
+        """Lift of one point in Python floats: the compiled point pass,
         bit-identical to apply_lift at that point."""
-        xt, y = float(xt), float(y)
-        for leaf in self.leaves():
-            xt, y = leaf.step_point(xt, y)
-        return xt, y
+        return self._point.step(float(xt), float(y))
+
+    @functools.cached_property
+    def _point(self) -> "PointPass":
+        return point_pass(self)
 
     def lift_with_jacobian(self, xt, y):
         """Lift and differential in one pass: (xt', y', D), D of shape (..., 2, 2).
@@ -487,6 +530,10 @@ class MapExpr:
     def __call__(self, p: AnnulusPoint) -> AnnulusPoint:
         return eval_map(self, p)
 
+    def __getstate__(self):
+        # a compiled point pass does not pickle; it is rebuilt on first use
+        return {k: v for k, v in self.__dict__.items() if k not in ("_point", "step_point")}
+
 
 def _identity(shape) -> np.ndarray:
     out = np.zeros(tuple(shape) + (2, 2))
@@ -499,15 +546,23 @@ def _identity(shape) -> np.ndarray:
 _ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-class RigidRotation(MapExpr):
+class _SourceLeaf(MapExpr):
+    """A built-in leaf: its step_point is its own point_source compiled."""
+
+    @functools.cached_property
+    def step_point(self):
+        return self._point.step
+
+
+class RigidRotation(_SourceLeaf):
     def __init__(self, a: float):
         self.a = float(a)
 
     def step(self, xt, y, with_jacobian=False):
         return np.asarray(xt, dtype=float) + self.a, np.asarray(y, dtype=float), None
 
-    def step_point(self, xt, y):
-        return xt + self.a, y
+    def point_source(self, src):
+        src.add(f"xt = xt + {src.const('a', self.a)}")
 
     def action(self, xt, y):
         # a rotation pulls beta back to itself
@@ -529,7 +584,7 @@ class RigidRotation(MapExpr):
         return f"RigidRotation({self.a!r})"
 
 
-class Twist(MapExpr):
+class Twist(_SourceLeaf):
     def __init__(self, profile: TwistProfile):
         self.profile = profile
 
@@ -542,9 +597,8 @@ class Twist(MapExpr):
         d[..., 0, 1] = self.profile.dphi(y)
         return xt, y, d
 
-    def step_point(self, xt, y):
-        # closed-form profiles return a float here; float() unwraps a spline's 0-d array
-        return xt + float(self.profile.phi(y)), y
+    def point_source(self, src):
+        src.add(f"xt = xt + ({self.profile.point_phi(src, 'y')})")
 
     def action(self, xt, y):
         return self.profile.potential(y)
@@ -565,7 +619,7 @@ class Twist(MapExpr):
         return f"Twist({self.profile!r})"
 
 
-class LocalDiskTwist(MapExpr):
+class LocalDiskTwist(_SourceLeaf):
     """Rigid rotation by angle phi(r) on each chart circle of radius r < R
     about an interior center; exact identity outside the chart disk.
 
@@ -576,8 +630,8 @@ class LocalDiskTwist(MapExpr):
     step and action share one support kernel, _support: offsets on every
     point, then the radius, rotation and differential on the support points
     only (those with r < R). Every other point keeps its place, the identity
-    differential and action 0. step_point is the Python-float copy of step,
-    with its bits.
+    differential and action 0. point_source is the Python-float copy of
+    step, with its bits.
     """
 
     def __init__(self, center: AnnulusPoint, radius: float, profile: RadialProfile):
@@ -674,19 +728,23 @@ class LocalDiskTwist(MapExpr):
         float % 1.0 rounds w + n once, as w - floor(w) does."""
         return (xt - self._cx + 0.5) % 1.0 - 0.5, y - self._cy
 
-    def step_point(self, xt, y):
-        # step()'s operations in the same order: the u^2 + v^2 screen of
-        # _support, then the radius by complex abs, which calls the C
-        # library's hypot as np.hypot does (math.hypot rounds differently)
-        u, v = self._point_offsets(xt, y)
-        if u * u + v * v < self._screen:
-            r = abs(complex(u, v))
-            if r < self.radius:
-                ang = float(self.profile.phi(r))
-                ca = math.cos(ang)
-                sa = math.sin(ang)
-                return xt + (u * ca - v * sa - u), y + (u * sa + v * ca - v)
-        return xt + 0.0, y + 0.0
+    def point_source(self, src):
+        # step()'s operations in the same order: _point_offsets, the u^2 + v^2
+        # screen of _support, then the radius by complex abs, which calls the
+        # C library's hypot as np.hypot does (math.hypot rounds differently)
+        src.add(f"u = (xt - {src.const('cx', self._cx)} + 0.5) % 1.0 - 0.5",
+                f"v = y - {src.const('cy', self._cy)}",
+                f"if u * u + v * v < {src.const('screen', self._screen)} "
+                f"and (r := abs(complex(u, v))) < {src.const('R', self.radius)}:")
+        with src.block():
+            src.add(f"ang = {self.profile.point_phi(src, 'r')}",
+                    "ca = cos(ang)",
+                    "sa = sin(ang)",
+                    "xt = xt + (u * ca - v * sa - u)",
+                    "y = y + (u * sa + v * ca - v)")
+        src.add("else:")
+        with src.block():
+            src.add("xt = xt + 0.0", "y = y + 0.0")
 
     def action(self, xt, y):
         # on the support, the rotation-invariant radial part plus the exact
@@ -744,6 +802,10 @@ class Compose(MapExpr):
     def leaves(self):
         return self._leaves
 
+    def point_source(self, src):
+        self.inner.point_source(src)
+        self.outer.point_source(src)
+
     def inverse(self):
         return Compose(self.inner.inverse(), self.outer.inverse())
 
@@ -768,6 +830,12 @@ class Iterate(MapExpr):
 
     def leaves(self):
         return self._leaves
+
+    def point_source(self, src):
+        # one copy of the base's lines in a loop, so the source does not grow with k
+        src.add(f"for _ in range({src.const('k', self.k)}):")
+        with src.block():
+            self.base.point_source(src)
 
     def inverse(self):
         return Iterate(self.base.inverse(), self.k)
@@ -808,6 +876,9 @@ class RowIterate(MapExpr):
     def leaves(self):
         raise TypeError("RowIterate iterates each row its own number of times, so it has no "
                         "leaves; only apply_lift and lift_with_jacobian evaluate it")
+
+    def point_source(self, src):
+        self.leaves()  # raises: there is no one-point pass either
 
     def apply_lift(self, xt, y):
         return self._pass(xt, y, False)[:2]
@@ -881,11 +952,12 @@ def orbit_arrays(m: MapExpr, x, y, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Lifted orbit z_0 .. z_{n-1} of (x, y) under m, as arrays xs, ys of
     shape (n,) + the broadcast shape of x and y.
 
-    A scalar start takes the point pass: one loop over the leaves' bound
-    step_point methods on Python floats, storing each point through a
-    memoryview, so no step makes a numpy call. Array starts step all points
-    at once through apply_lift. Every pass rounds a point alike, so each
-    column of an array start is that start's scalar orbit bit for bit.
+    A scalar start takes the compiled point pass: one loop on Python floats
+    whose body is the map's point source, storing each point through a
+    memoryview, so a step makes no call per leaf and no numpy call. Array
+    starts step all points at once through apply_lift. Every pass rounds a
+    point alike, so each column of an array start is that start's scalar
+    orbit bit for bit.
     """
     xt = np.asarray(x, dtype=float)
     yy = np.asarray(y, dtype=float)
@@ -893,7 +965,9 @@ def orbit_arrays(m: MapExpr, x, y, n: int) -> tuple[np.ndarray, np.ndarray]:
     xs = np.empty(shape)
     ys = np.empty(shape)
     if not shape[1:]:
-        _point_orbit(m, float(xt), float(yy), xs, ys)
+        if n:
+            with memoryview(xs) as xv, memoryview(ys) as yv:
+                m._point.orbit(float(xt), float(yy), xv, yv)
         return xs, ys
     for j in range(n):
         if j:
@@ -903,17 +977,79 @@ def orbit_arrays(m: MapExpr, x, y, n: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _point_orbit(m: MapExpr, xt: float, y: float, xs: np.ndarray, ys: np.ndarray) -> None:
-    steps = [leaf.step_point for leaf in m.leaves()]
-    with memoryview(xs) as xv, memoryview(ys) as yv:
-        if len(xv):
-            xv[0] = xt
-            yv[0] = y
-        for j in range(1, len(xv)):
-            for step in steps:
-                xt, y = step(xt, y)
-            xv[j] = xt
-            yv[j] = y
+# ---------------------------------------------------------------------------
+# the compiled point pass
+# ---------------------------------------------------------------------------
+
+class PointSource:
+    """The Python-float step of a map as source lines, built by point_source.
+
+    The lines read and rebind the floats xt and y, and may use the
+    temporaries u, v, r, s, t, w, ang, ca, sa and the functions cos and sin.
+    A map's numbers never enter the text: const() names each one, so maps
+    that differ only in their numbers share one source and one compile.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.consts: dict[str, object] = {}
+        self._indent = ""
+
+    def add(self, *lines: str) -> None:
+        self.lines.extend(self._indent + line for line in lines)
+
+    def const(self, name: str, value) -> str:
+        """A fresh global name bound to value."""
+        key = f"{name}_{len(self.consts)}"
+        self.consts[key] = value
+        return key
+
+    @contextlib.contextmanager
+    def block(self):
+        """Indent the lines added inside the with-block one level."""
+        self._indent += "    "
+        try:
+            yield
+        finally:
+            self._indent = self._indent[:-4]
+
+
+class PointPass(NamedTuple):
+    """A map's compiled point pass. step(xt, y) is its lift of one point in
+    Python floats; orbit(xt, y, xv, yv) writes the orbit z_0, z_1, ... of
+    (xt, y) into the float memoryviews xv and yv, one point per item (at
+    least one)."""
+
+    step: Callable[[float, float], tuple[float, float]]
+    orbit: Callable
+
+
+def point_pass(m: MapExpr) -> PointPass:
+    """Compile m's point source into its point pass (MapExpr.apply_point and
+    the scalar-start orbit_arrays read it as m._point). The code is compiled
+    once per source text, that is per sequence of leaf kinds, and bound to
+    each map's constants as the globals of its functions."""
+    src = PointSource()
+    m.point_source(src)
+    step, orbit = _compile_point_pass("\n".join(src.lines))
+    env = {"cos": math.cos, "sin": math.sin, **src.consts}
+    return PointPass(types.FunctionType(step, env), types.FunctionType(orbit, env))
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_point_pass(body: str) -> tuple[types.CodeType, types.CodeType]:
+    step = "def step(xt, y):\n{}\n    return xt, y\n"
+    orbit = ("def orbit(xt, y, xv, yv):\n    xv[0] = xt\n    yv[0] = y\n"
+             "    for _j in range(1, len(xv)):\n{}\n        xv[_j] = xt\n        yv[_j] = y\n")
+    code = compile(step.format(_indented(body, 1)) + orbit.format(_indented(body, 2)),
+                   "<point pass>", "exec")
+    fns = {c.co_name: c for c in code.co_consts if isinstance(c, types.CodeType)}
+    return fns["step"], fns["orbit"]
+
+
+def _indented(body: str, levels: int) -> str:
+    pad = "    " * levels
+    return "\n".join(pad + line for line in body.split("\n"))
 
 
 def finite_difference_jacobian(m: MapExpr, xt, y, h: float = 1e-6) -> np.ndarray:

@@ -9,12 +9,13 @@ Lifted points live on R x [0, 1].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .util import gauss_nodes_unit, pairwise_sum, refine_by_doubling, wrap_turn
+from .util import gauss_nodes_unit, pairwise_sum, refine_all_by_doubling, wrap_turn
 
 # Gauss-Legendre nodes per quadrature piece of a path segment
 GAUSS_POINTS = 5
@@ -121,6 +122,8 @@ class OneForm:
     line_integral passes coefficients() the lifted x of its path, not x mod 1,
     so a form must be 1-periodic in x; along lifted paths dx means d(x_lift).
     ExplicitField reduces x mod 1 itself before calling the user's functions.
+    coefficients() must act point by point: line_integral evaluates the nodes
+    of several segments in one call.
     """
 
     def coefficients(self, x, y):
@@ -199,24 +202,54 @@ def line_integral(form: OneForm, path: PolylinePath, quad: QuadratureSpec | None
     Each segment starts with enough pieces to respect path.refinement, each of
     GAUSS_POINTS nodes, then the piece count is doubled until two successive
     estimates agree within quad.tol. Raises NonConvergentError if the budget
-    runs out first.
+    runs out first. This is _line_integrals on one path: one coefficients
+    call per doubling round serves every segment still refining.
     """
+    return _line_integrals(form, [path], quad)[0]
+
+
+def _line_integrals(form: OneForm, paths, quad: QuadratureSpec | None = None) -> list[float]:
+    """line_integral of one form along each of several paths, all their
+    segments refined together by util.refine_all_by_doubling: each round
+    makes one coefficients call on the nodes of every segment still refining.
+    Each segment keeps its own nodes, weights, pairwise sum and stopping rule,
+    and the forms here act point by point, so every value is the one a
+    segment gets alone."""
     quad = quad or QuadratureSpec()
+    segs = []  # (a.xt, a.y, dx, dy, starting piece count, path index)
+    for k, path in enumerate(paths):
+        for a, b in zip(path.vertices, path.vertices[1:]):
+            dx = b.xt - a.xt
+            dy = b.y - a.y
+            pieces0 = max(1, int(np.ceil(float(np.hypot(dx, dy)) / path.refinement)))
+            segs.append((a.xt, a.y, dx, dy, pieces0, k))
+
+    def evaluate(jobs):
+        rules = [_piece_rule(segs[i][4] * scale) for i, scale in jobs]
+        counts = [len(t) for t, _ in rules]
+        t = np.concatenate([t for t, _ in rules])
+        ax, ay, dx, dy = (np.repeat([segs[i][k] for i, _ in jobs], counts) for k in range(4))
+        ca, cb = form.coefficients(ax + t * dx, np.clip(ay + t * dy, 0.0, 1.0))
+        w = np.concatenate([w for _, w in rules])
+        vals = w * np.asarray(ca * dx + cb * dy, dtype=float)
+        return [pairwise_sum(part) for part in np.split(vals, np.cumsum(counts)[:-1])]
+
+    values = refine_all_by_doubling(evaluate, len(segs), quad.tol, quad.max_halvings,
+                                    "path quadrature")
+    totals = [0.0] * len(paths)
+    for seg, (value, _) in zip(segs, values):
+        totals[seg[5]] += value
+    return totals
+
+
+@functools.lru_cache(maxsize=64)
+def _piece_rule(pieces: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parameters t in [0, 1] and weights of the composite rule with
+    GAUSS_POINTS nodes on each of pieces equal pieces."""
     nodes, weights = gauss_nodes_unit(GAUSS_POINTS)
-    total = 0.0
-    for a, b in zip(path.vertices, path.vertices[1:]):
-        dx = b.xt - a.xt
-        dy = b.y - a.y
-        pieces0 = max(1, int(np.ceil(float(np.hypot(dx, dy)) / path.refinement)))
-
-        def rule(scale, a=a, dx=dx, dy=dy, pieces0=pieces0):
-            pieces = pieces0 * scale
-            t0 = np.arange(pieces, dtype=float) / pieces
-            t = (t0[:, None] + nodes[None, :] / pieces).ravel()
-            w = np.tile(weights / pieces, pieces)
-            ca, cb = form.coefficients(a.xt + t * dx, np.clip(a.y + t * dy, 0.0, 1.0))
-            return pairwise_sum(w * np.asarray(ca * dx + cb * dy, dtype=float))
-
-        value, _ = refine_by_doubling(rule, quad.tol, quad.max_halvings, "path quadrature")
-        total += value
-    return total
+    t0 = np.arange(pieces, dtype=float) / pieces
+    t = (t0[:, None] + nodes[None, :] / pieces).ravel()
+    w = np.tile(weights / pieces, pieces)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w

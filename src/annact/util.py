@@ -51,19 +51,49 @@ def refine_by_doubling(rule: Callable[[int], float], tol: float, max_doublings: 
     Returns (value, last increment); raises NonConvergentError, carrying both,
     after max_doublings doublings.
     """
-    scale = 1
-    prev = rule(scale)
-    for _ in range(max_doublings):
+    return refine_all_by_doubling(lambda jobs: [rule(scale) for _, scale in jobs], 1,
+                                  tol, max_doublings, what)[0]
+
+
+def refine_all_by_doubling(evaluate: Callable[[list[tuple[int, int]]], list[float]], n: int,
+                           tol: float, max_doublings: int, what: str) -> list[tuple[float, float]]:
+    """refine_by_doubling for n rules at once, in rounds.
+
+    evaluate(jobs) returns the value of rule i at scale s for each job
+    (i, s), in order. The first round asks for scales 1 and 2 of every rule;
+    each later round asks for the next scale of the rules whose last two
+    values still differ by tol or more. Each rule gets the values, stopping
+    rule and result that refine_by_doubling gives it alone. When rules are
+    still refining after max_doublings doublings, the first of them raises
+    its NonConvergentError.
+    """
+    if not n:
+        return []
+    vals = evaluate([(i, 1) for i in range(n)] + [(i, 2) for i in range(n)])
+    prev = vals[:n]
+    cur = dict(enumerate(vals[n:]))  # the values at scale of the rules still refining
+    out: list[tuple[float, float]] = [(0.0, 0.0)] * n
+    scale, doublings = 2, 1
+    while True:
+        refining = {}
+        for i, value in cur.items():
+            inc = abs(value - prev[i])
+            prev[i] = value
+            if inc < tol:
+                out[i] = (value, inc)
+            else:
+                refining[i] = inc
+        if not refining:
+            return out
+        if doublings >= max_doublings:
+            i, inc = next(iter(refining.items()))
+            raise NonConvergentError(
+                f"{what} stalled above tol={tol} at {scale}x the starting resolution",
+                value=prev[i], increment=inc,
+            )
         scale *= 2
-        cur = rule(scale)
-        inc = abs(cur - prev)
-        prev = cur
-        if inc < tol:
-            return cur, inc
-    raise NonConvergentError(
-        f"{what} stalled above tol={tol} at {scale}x the starting resolution",
-        value=prev, increment=inc,
-    )
+        doublings += 1
+        cur = dict(zip(refining, evaluate([(i, scale) for i in refining])))
 
 
 def wrap_turn(x):

@@ -20,6 +20,7 @@ from annact import (
     action_function_via_path,
     additivity_defect,
     calabi,
+    map_from_shorthand,
     measure_action,
     path_independence_defect,
     shifted_action_difference,
@@ -118,12 +119,12 @@ def test_path_route_rejects_paths_that_miss_their_ends(linear_twist):
 
 
 def test_path_route_through_coincident_cuts():
-    from annact.action import _segment_breakpoints
+    from annact.action import _path_breakpoints
 
     m = Iterate(LocalDiskTwist.poly_bump(AnnulusPoint(0.5, 0.5), 0.3, 2.0), 2)
     a, b = LiftedPoint(0.0, 0.1), LiftedPoint(1.0, 0.9)
     # both stages cross the one support circle at the same parameters
-    cuts = _segment_breakpoints(m, a, b)
+    cuts, = _path_breakpoints(m, (a, b))
     assert len(cuts) == 4 and cuts[0] == cuts[1] and cuts[2] == cuts[3]
     ctx = ActionContext(base_point=AnnulusPoint(0.0, 0.1))
     target = AnnulusPoint(0.0, 0.9)
@@ -307,3 +308,17 @@ def test_shifted_context_pointwise(linear_twist):
     base = action_function(linear_twist, CTX, p)
     got = action_function(linear_twist, ctx_s, p)
     assert got == pytest.approx(base + 0.7 * (0.6 - 0.0), abs=1e-14)
+
+
+@pytest.mark.parametrize("shorthand", [
+    "rigid:a=0.6180339887*disk:cx=0.5,cy=0.5,R=0.35,c=50.85",
+    "rigid:a=0.6180339887*disk:cx=0.5,cy=0.5,R=0.35,c=1",
+    "twist:bump,c=0.9*disk:cx=0.37,cy=0.52,R=0.3,c=4.2",
+])
+def test_calabi_of_disk_compositions_matches_a_midpoint_mean(shorthand):
+    # an oracle blind to the leaves: the mean of the pointwise action function
+    # over a 400 x 400 midpoint grid of the unit-area annulus
+    m = map_from_shorthand(shorthand)
+    mid = (np.arange(400) + 0.5) / 400
+    X, Y = np.meshgrid(mid, mid, indexing="ij")
+    assert abs(calabi(m, CTX).value - action_function_values(m, CTX, X, Y).mean()) < 1e-7

@@ -6,7 +6,7 @@ must give the floats of the routines they replaced."""
 import numpy as np
 import pytest
 
-from annact.action import _segment_breakpoints
+from annact.action import _path_breakpoints
 from annact.maps import (
     AnnulusPoint,
     LocalDiskTwist,
@@ -288,10 +288,11 @@ def test_segment_breakpoints_match_array_bisection(rng):
         origin = LiftedPoint(0.0, 0.0)
         mid = LiftedPoint(*rng.uniform((0.0, 0.0), (1.0, 1.0)))
         end = LiftedPoint(*rng.uniform((0.0, 0.05), (1.0, 1.0)))
-        for a, b in [(origin, mid), (mid, end), (origin, end)]:
-            got = _segment_breakpoints(m, a, b)
-            assert got == _array_breakpoints(m, a, b)
-            found += len(got)
+        # the dog-leg's two segments share one scan; the straight path has its own
+        got = _path_breakpoints(m, (origin, mid, end)) + _path_breakpoints(m, (origin, end))
+        for cuts, (a, b) in zip(got, [(origin, mid), (mid, end), (origin, end)]):
+            assert cuts == _array_breakpoints(m, a, b)
+            found += len(cuts)
     assert found > 10
 
 

@@ -10,6 +10,7 @@ import pytest
 from annact.maps import (
     AnnulusPoint,
     Compose,
+    Iterate,
     LinearProfile,
     LocalDiskTwist,
     MapExpr,
@@ -314,7 +315,7 @@ def test_scalar_orbit_makes_no_numpy_hypot_call(monkeypatch, perturbed_rotation)
 
 
 def test_segment_bisection_makes_no_numpy_hypot_call(monkeypatch, perturbed_rotation):
-    from annact.action import _bump_stage_margins, _segment_breakpoints
+    from annact.action import _bump_stage_margins, _path_breakpoints
     from annact.phase_space import LiftedPoint
 
     m = Compose(perturbed_rotation, LocalDiskTwist.poly_bump(AnnulusPoint(0.0, 0.4), 0.3, -4.0))
@@ -322,7 +323,7 @@ def test_segment_bisection_makes_no_numpy_hypot_call(monkeypatch, perturbed_rota
     calls = _count_hypot(monkeypatch)
     for a, b in zip(dogleg, dogleg[1:]):
         del calls[:]
-        cuts = _segment_breakpoints(m, a, b)
+        cuts = _path_breakpoints(m, (a, b))[0]
         scan_calls = list(calls)
         del calls[:]
         ts = np.linspace(0.0, 1.0, 513)
@@ -346,7 +347,80 @@ def test_segment_bisection_stops_when_the_bracket_stops_moving(monkeypatch, pert
         return probe(*args)
 
     monkeypatch.setattr(action, "_point_stage_margin", counted)
-    cuts = sum(len(action._segment_breakpoints(m, a, b)) for a, b in zip(dogleg, dogleg[1:]))
+    cuts = sum(len(action._path_breakpoints(m, (a, b))[0]) for a, b in zip(dogleg, dogleg[1:]))
     # a full bisection is one probe at lo plus 60 halvings; the bracket of a
     # float parameter stops shrinking well before that
     assert cuts and len(probes) < 60 * cuts
+
+
+def _array_pass_orbit(m, x, y, n):
+    """The array pass: the orbit of a one-point array start."""
+    xs, ys = orbit_arrays(m, np.array([x]), np.array([y]), n)
+    return xs[:, 0], ys[:, 0]
+
+
+def _point_pass_maps():
+    maps = {kind: Compose(RigidRotation(GOLDEN), leaf)
+            for kind, leaves in LEAVES.items() for leaf in leaves[:1]}
+    maps["twist-negated-linear"] = Compose(RigidRotation(GOLDEN), LEAVES["twist-negated"][1])
+    for k, leaf in enumerate(LEAVES["disk-negated"][1:]):
+        maps[f"disk-negated-{k}"] = Compose(RigidRotation(GOLDEN), leaf)
+    maps["iterate"] = Iterate(Compose(LEAVES["twist-tabulated"][0], LEAVES["disk-poly-bump"][1]), 3)
+    maps["four-leaf"] = Compose(
+        Compose(LEAVES["disk-tabulated"][0], LEAVES["twist-negated"][0]),
+        Compose(Twist(LinearProfile()), RigidRotation(GOLDEN)))
+    return maps
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5_000])
+def test_point_pass_equals_the_array_pass_bit_for_bit(n):
+    for name, m in _point_pass_maps().items():
+        xs, ys = orbit_arrays(m, 0.3, 0.55, n)
+        want_xs, want_ys = _array_pass_orbit(m, 0.3, 0.55, n)
+        assert xs.shape == want_xs.shape == (n,)
+        assert np.array_equal(xs.view(np.int64), want_xs.view(np.int64)), name
+        assert np.array_equal(ys.view(np.int64), want_ys.view(np.int64)), name
+        for xt, y in zip(want_xs[:50].tolist(), want_ys[:50].tolist()):
+            got = m.apply_point(xt, y)
+            want = m.apply_lift(np.array([xt]), np.array([y]))
+            assert type(got[0]) is float and type(got[1]) is float
+            assert (_bits(got[0]), _bits(got[1])) == (_bits(want[0][0]), _bits(want[1][0])), name
+
+
+def test_a_second_map_with_the_same_leaf_kinds_compiles_nothing(monkeypatch):
+    import annact.maps as maps
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compile(*args)
+
+    monkeypatch.setattr(maps, "compile", counted, raising=False)
+
+    def readme_like(a, c):
+        return Compose(RigidRotation(a), LocalDiskTwist.poly_bump(AnnulusPoint(0.5, 0.5), 0.3, c))
+
+    first, second = readme_like(0.1, 3.0), readme_like(GOLDEN, -7.0)
+    maps._compile_point_pass.cache_clear()
+    first_orbit = orbit_arrays(first, 0.3, 0.55, 100)
+    for leaf in first.leaves():
+        leaf.step_point(0.3, 0.55)
+    assert len(calls) == 3  # the map's pass and each leaf's own
+    second_orbit = orbit_arrays(second, 0.3, 0.55, 100)
+    for leaf in second.leaves():
+        leaf.step_point(0.3, 0.55)
+    assert len(calls) == 3
+    # each map steps with its own constants
+    assert not np.array_equal(first_orbit[0], second_orbit[0])
+    assert np.array_equal(second_orbit[0], _array_pass_orbit(second, 0.3, 0.55, 100)[0])
+
+
+def test_a_map_pickles_after_its_point_pass_is_compiled(perturbed_rotation):
+    import pickle
+
+    want = perturbed_rotation.apply_point(0.3, 0.55)
+    for leaf in perturbed_rotation.leaves():
+        leaf.step_point(0.3, 0.55)
+    copy = pickle.loads(pickle.dumps(perturbed_rotation))
+    assert copy.apply_point(0.3, 0.55) == want
