@@ -199,14 +199,14 @@ def _bump_stage_margins(m: MapExpr, xt, y):
 
 def _point_stage_margin(m: MapExpr, xt: float, y: float, stage: int) -> float:
     """The stage-th margin of _bump_stage_margins at one point, on the point
-    pass: point_margin and step_point round as kink_margin and step do."""
+    pass: point_margin and apply_point round as kink_margin and step do."""
     for leaf in m.leaves():
         margin = leaf.point_margin(xt, y)
         if margin is not None:
             if stage == 0:
                 return margin
             stage -= 1
-        xt, y = leaf.step_point(xt, y)
+        xt, y = leaf.apply_point(xt, y)
     raise IndexError("no such kink stage")
 
 

@@ -32,8 +32,8 @@ Iterate as an inner loop, compiled once per text, that is per sequence of
 leaf kinds, and bound to the map's numbers as the globals of its functions.
 apply_point steps one point through it; eval_map, eval_lift and
 boundary_displacement take it, a scalar-start orbit_arrays runs its orbit
-loop, whose body is the map's lines, and a built-in leaf's step_point is its
-own lines compiled alone. Every pass rounds a point alike: an array row, a
+loop, whose body is the map's lines, and a leaf's apply_point is its own
+lines compiled alone. Every pass rounds a point alike: an array row, a
 0-d array and a Python float get the same bits, since the built-in profiles
 square by a multiply. point_margin is kink_margin's Python-float copy, for
 the bisection of a path's support crossings.
@@ -110,12 +110,6 @@ class TwistProfile:
     def negated(self) -> "TwistProfile":
         return _NegatedTwistProfile(self)
 
-    def point_phi(self, src: "PointSource", y: str) -> str:
-        """A Python-float expression for phi at the float named y, for the
-        point pass; it may add lines that compute temporaries first. This
-        default calls phi, and float() unwraps a spline's 0-d array."""
-        return f"float({src.const('phi', self.phi)}({y}))"
-
     def to_config(self) -> dict:
         raise NotImplementedError
 
@@ -132,9 +126,6 @@ class LinearProfile(TwistProfile):
     def potential(self, y):
         y = np.asarray(y, dtype=float)
         return 0.5 * y * y
-
-    def point_phi(self, src, y):
-        return y
 
     def to_config(self):
         return {"kind": "linear"}
@@ -164,10 +155,6 @@ class PolyBumpProfile(TwistProfile):
     def potential(self, y):
         y = np.asarray(y, dtype=float)
         return 32.0 * self.c * (y**3 / 3.0 - 0.75 * y**4 + 0.4 * y**5)
-
-    def point_phi(self, src, y):
-        src.add(f"w = {y} * (1.0 - {y})")
-        return f"16.0 * {src.const('c', self.c)} * (w * w)"
 
     def to_config(self):
         return {"kind": "poly_bump", "c": self.c}
@@ -230,9 +217,6 @@ class _NegatedTwistProfile(TwistProfile):
     def potential(self, y):
         return -self._base.potential(y)
 
-    def point_phi(self, src, y):
-        return f"-({self._base.point_phi(src, y)})"
-
     def negated(self):
         return self._base
 
@@ -284,11 +268,6 @@ class RadialProfile:
     def negated(self) -> "RadialProfile":
         return _NegatedRadialProfile(self)
 
-    def point_phi(self, src: "PointSource", r: str) -> str:
-        """A Python-float expression for phi at the float named r, as
-        TwistProfile.point_phi."""
-        return f"float({src.const('phi', self.phi)}({r}))"
-
     def monotone_defect(self, n: int = 256) -> float:
         """max(phi', 0) sampled on [0, R]; zero for admissible profiles."""
         rs = np.linspace(0.0, self.R, n)
@@ -318,10 +297,6 @@ class PolyBumpRadial(RadialProfile):
         s = r / self.R
         t = 1.0 - s * s
         return self.c * t * t
-
-    def point_phi(self, src, r):
-        src.add(f"s = {r} / {src.const('R', self.R)}", "t = 1.0 - s * s")
-        return f"{src.const('c', self.c)} * t * t"
 
     def dphi(self, r):
         r = np.asarray(r, dtype=float)
@@ -407,9 +382,6 @@ class _NegatedRadialProfile(RadialProfile):
     def action_radial(self, r):
         return -self._base.action_radial(r)
 
-    def point_phi(self, src, r):
-        return f"-({self._base.point_phi(src, r)})"
-
     def negated(self):
         return self._base
 
@@ -437,9 +409,8 @@ class MapExpr:
         raise NotImplementedError
 
     def step_point(self, xt: float, y: float) -> tuple[float, float]:
-        """One leaf's lift at one point in Python floats, bit-identical to
-        step() at that point. The built-in leaves compile their point_source
-        into it; this default rounds the same because it is step() itself."""
+        """One leaf's lift at one point in Python floats: step() at that
+        point, so it has step's bits. The default point_source calls it."""
         xt1, y1, _ = self.step(xt, y)
         return float(xt1), float(y1)
 
@@ -532,7 +503,7 @@ class MapExpr:
 
     def __getstate__(self):
         # a compiled point pass does not pickle; it is rebuilt on first use
-        return {k: v for k, v in self.__dict__.items() if k not in ("_point", "step_point")}
+        return {k: v for k, v in self.__dict__.items() if k != "_point"}
 
 
 def _identity(shape) -> np.ndarray:
@@ -546,15 +517,7 @@ def _identity(shape) -> np.ndarray:
 _ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-class _SourceLeaf(MapExpr):
-    """A built-in leaf: its step_point is its own point_source compiled."""
-
-    @functools.cached_property
-    def step_point(self):
-        return self._point.step
-
-
-class RigidRotation(_SourceLeaf):
+class RigidRotation(MapExpr):
     def __init__(self, a: float):
         self.a = float(a)
 
@@ -584,7 +547,7 @@ class RigidRotation(_SourceLeaf):
         return f"RigidRotation({self.a!r})"
 
 
-class Twist(_SourceLeaf):
+class Twist(MapExpr):
     def __init__(self, profile: TwistProfile):
         self.profile = profile
 
@@ -598,7 +561,8 @@ class Twist(_SourceLeaf):
         return xt, y, d
 
     def point_source(self, src):
-        src.add(f"xt = xt + ({self.profile.point_phi(src, 'y')})")
+        # float() unwraps a spline's 0-d array; closed-form profiles return a float
+        src.add(f"xt = xt + float({src.const('phi', self.profile.phi)}(y))")
 
     def action(self, xt, y):
         return self.profile.potential(y)
@@ -619,7 +583,7 @@ class Twist(_SourceLeaf):
         return f"Twist({self.profile!r})"
 
 
-class LocalDiskTwist(_SourceLeaf):
+class LocalDiskTwist(MapExpr):
     """Rigid rotation by angle phi(r) on each chart circle of radius r < R
     about an interior center; exact identity outside the chart disk.
 
@@ -737,7 +701,7 @@ class LocalDiskTwist(_SourceLeaf):
                 f"if u * u + v * v < {src.const('screen', self._screen)} "
                 f"and (r := abs(complex(u, v))) < {src.const('R', self.radius)}:")
         with src.block():
-            src.add(f"ang = {self.profile.point_phi(src, 'r')}",
+            src.add(f"ang = float({src.const('phi', self.profile.phi)}(r))",
                     "ca = cos(ang)",
                     "sa = sin(ang)",
                     "xt = xt + (u * ca - v * sa - u)",
@@ -985,7 +949,7 @@ class PointSource:
     """The Python-float step of a map as source lines, built by point_source.
 
     The lines read and rebind the floats xt and y, and may use the
-    temporaries u, v, r, s, t, w, ang, ca, sa and the functions cos and sin.
+    temporaries u, v, r, ang, ca, sa and the functions cos and sin.
     A map's numbers never enter the text: const() names each one, so maps
     that differ only in their numbers share one source and one compile.
     """

@@ -1,6 +1,7 @@
-"""The one-point kernel: each leaf's step_point steps one point in Python
-floats and must round exactly as its numpy step does on scalars, so that
-scalar-start orbits keep every bit while skipping numpy's per-call cost."""
+"""The one-point kernel: each leaf's compiled point pass (apply_point) steps
+one point in Python floats and must round exactly as its numpy step does on
+scalars, so that scalar-start orbits keep every bit while skipping numpy's
+per-call cost."""
 
 import struct
 
@@ -73,10 +74,10 @@ def test_step_point_equals_step_bit_for_bit(kind, rng):
     for leaf in LEAVES[kind]:
         inside = outside = 0
         for xt, y in pts:
-            got = leaf.step_point(xt, y)
             want_xt, want_y, _ = leaf.step(xt, y)
-            assert type(got[0]) is float and type(got[1]) is float
-            assert (_bits(got[0]), _bits(got[1])) == (_bits(want_xt), _bits(want_y)), (leaf, xt, y)
+            for got in (leaf.apply_point(xt, y), leaf.step_point(xt, y)):
+                assert type(got[0]) is float and type(got[1]) is float
+                assert (_bits(got[0]), _bits(got[1])) == (_bits(want_xt), _bits(want_y)), (leaf, xt, y)
             if isinstance(leaf, LocalDiskTwist):
                 if float(np.hypot(*leaf.chart_offsets(xt, y))) < R:
                     inside += 1
@@ -213,6 +214,7 @@ def test_screened_step_point_at_the_support_circle(which, rng):
     inside_ring = _ring(disk, R * (1.0 - 1e-6), [0]) + _ring(disk, 0.5 * R, [0])
     for xt, y in near_circle + near_screen + inside_ring:
         want_xt, want_y, _ = disk.step(np.asarray(xt), np.asarray(y))
+        assert disk.apply_point(xt, y) == (float(want_xt), float(want_y)), (xt, y)
         assert disk.step_point(xt, y) == (float(want_xt), float(want_y)), (xt, y)
 
 
@@ -242,7 +244,7 @@ def _assert_complex_abs_is_hypot(u, v):
 
 
 def test_complex_abs_is_numpy_hypot_on_random_chart_offsets(rng):
-    # step_point and point_margin take the radius from abs(complex(u, v)),
+    # the point pass and point_margin take the radius from abs(complex(u, v)),
     # which calls the C library's hypot as np.hypot does; this guards that
     # the two agree on this platform
     n = 1_000_000
@@ -405,11 +407,11 @@ def test_a_second_map_with_the_same_leaf_kinds_compiles_nothing(monkeypatch):
     maps._compile_point_pass.cache_clear()
     first_orbit = orbit_arrays(first, 0.3, 0.55, 100)
     for leaf in first.leaves():
-        leaf.step_point(0.3, 0.55)
+        leaf.apply_point(0.3, 0.55)
     assert len(calls) == 3  # the map's pass and each leaf's own
     second_orbit = orbit_arrays(second, 0.3, 0.55, 100)
     for leaf in second.leaves():
-        leaf.step_point(0.3, 0.55)
+        leaf.apply_point(0.3, 0.55)
     assert len(calls) == 3
     # each map steps with its own constants
     assert not np.array_equal(first_orbit[0], second_orbit[0])
@@ -421,6 +423,6 @@ def test_a_map_pickles_after_its_point_pass_is_compiled(perturbed_rotation):
 
     want = perturbed_rotation.apply_point(0.3, 0.55)
     for leaf in perturbed_rotation.leaves():
-        leaf.step_point(0.3, 0.55)
+        leaf.apply_point(0.3, 0.55)
     copy = pickle.loads(pickle.dumps(perturbed_rotation))
     assert copy.apply_point(0.3, 0.55) == want
