@@ -10,8 +10,12 @@
 # the point pass at the CLI's default scale), `example41` at c = 50.85 and at
 # c = 10.5 with --q-max 27 and 40, the (6, 4) census CSVs at grids 192 and
 # 384, the README config's q = 6 census at grid 48, `audit --trials 200
-# --seed 11`, `action` and `rotation` on two maps, and the raw results of the
-# bench `invariants` workload at seeds 0 to 5. Exits 1 on any difference.
+# --seed 11`, `action` and `rotation` on two maps, the raw results of the
+# bench `invariants` workload at seeds 0 to 5, and two library entry points
+# that no command reaches: `grid_scan_orbits` on the README map at (6, 4) with
+# n = 800, and `refine_orbit` to 1e-12 from each orbit of the README map's
+# (6, 4) census at grid 48 (the refined orbit, or the NonConvergentError's
+# message and value). Exits 1 on any difference.
 set -euo pipefail
 rev=${1:-HEAD}
 root=$(git rev-parse --show-toplevel)
@@ -77,6 +81,19 @@ import pathlib, sys, workloads
 for seed in range(6):
     inputs = workloads.make_inputs("invariants", seed, pathlib.Path(sys.argv[1]))
     print(repr(workloads.run_instance("invariants", inputs)))
+PY
+  PYTHONPATH="$tree/src" python3 - "$readme" > "$out/scan_refine.txt" <<'PY'
+import sys
+from annact import (NonConvergentError, SearchConfig, find_periodic_orbits,
+                    grid_scan_orbits, map_from_shorthand, refine_orbit)
+m = map_from_shorthand(sys.argv[1])
+for o in grid_scan_orbits(m, 6, 4, n=800):
+    print("scan", repr(o))
+for i, o in enumerate(find_periodic_orbits(m, 6, 4, SearchConfig(grid=48))):
+    try:
+        print("refine", i, repr(refine_orbit(m, o, 1e-12)))
+    except NonConvergentError as e:
+        print("refine", i, "NonConvergentError", e, repr(e.value))
 PY
 }
 

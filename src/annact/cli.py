@@ -201,10 +201,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "grid": {"type": "integer", "minimum": 2},
-                "newton_max_steps": {"type": "integer", "minimum": 1},
-                "newton_damping": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "dedup_tolerance": {"type": "number", "exclusiveMinimum": 0},
-                "boundary_margin": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.5},
                 "max_grid": {"type": "integer", "minimum": 2},
             },
             "additionalProperties": False,
@@ -213,7 +209,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "q_max": {"type": "integer", "minimum": 1},
-                "n_iter": {"type": "integer", "minimum": 1000},
                 # accepted and ignored: the census is one batched run
                 "workers": {"type": "integer", "minimum": 1},
             },
@@ -351,15 +346,14 @@ def _search_from_config(cfg: dict) -> SearchConfig:
     return SearchConfig(**cfg.get("search", {}))
 
 
-def _measure_from_config(mcfg: dict, m: MapExpr, cfg_search: SearchConfig,
-                         empirical_n_iter: int) -> MeasureSpec:
+def _measure_from_config(mcfg: dict, m: MapExpr, cfg_search: SearchConfig) -> MeasureSpec:
     kind = mcfg["kind"]
     if kind in ("boundary_lower", "boundary_upper", "area"):
         return MeasureSpec(kind)
     if kind == "empirical":
         seed = mcfg["seed"]
         return MeasureSpec.empirical(AnnulusPoint(seed[0], seed[1]),
-                                     mcfg.get("n_iter", empirical_n_iter))
+                                     mcfg.get("n_iter", BIRKHOFF_N_ITER))
     if kind == "orbit":
         orbits = find_periodic_orbits(m, mcfg["q"], mcfg["p"], cfg_search)
         idx = mcfg.get("index", 0)
@@ -552,9 +546,8 @@ def cmd_verify(args) -> int:
     ctx = _context_from_config(cfg)
     search = _search_from_config(cfg)
     task = cfg.get("task", {})
-    n_iter = task.get("n_iter", BIRKHOFF_N_ITER)
-    mu1 = _measure_from_config(cfg["measures"]["mu1"], m, search, n_iter)
-    mu2 = _measure_from_config(cfg["measures"]["mu2"], m, search, n_iter)
+    mu1 = _measure_from_config(cfg["measures"]["mu1"], m, search)
+    mu2 = _measure_from_config(cfg["measures"]["mu2"], m, search)
     rep = verify_theorem(m, mu1, mu2, q_max=task.get("q_max"), cfg=search, ctx=ctx)
     out_cfg = cfg.get("output", {})
     return _report_and_exit(rep, m, args.out_dir or out_cfg.get("dir"),

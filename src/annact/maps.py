@@ -1158,6 +1158,11 @@ def random_composition(rng: np.random.Generator, max_leaves: int = 3) -> MapExpr
     return expr
 
 
+# the keys each shorthand factor reads; a twist names its profile by a flag
+_SHORTHAND_KEYS = {"rigid": {"a"}, "twist:linear": set(), "twist:bump": {"c"},
+                   "twist:poly_bump": {"c"}, "disk": {"cx", "cy", "R", "c"}}
+
+
 def map_from_shorthand(text: str) -> MapExpr:
     """Parse the compact CLI syntax.
 
@@ -1193,25 +1198,27 @@ def map_from_shorthand(text: str) -> MapExpr:
                     raise ConfigError(f"bad numeric value in {item!r}") from None
             else:
                 flags.append(item)
-        family = family.strip().lower()
-        if family == "rigid":
+        kind = family.strip().lower()
+        if kind == "twist":  # the first flag names the profile
+            kind += ":" + (flags.pop(0) if flags else "linear")
+        if kind not in _SHORTHAND_KEYS:
+            raise ConfigError(f"unknown map shorthand {kind!r}")
+        unread = flags + sorted(set(kv) - _SHORTHAND_KEYS[kind])
+        if unread:
+            raise ConfigError(f"{kind} shorthand does not read {', '.join(map(repr, unread))}")
+        if kind == "rigid":
             base = RigidRotation(kv.get("a", 0.0))
-        elif family == "twist":
-            if "linear" in flags or not (kv or flags):
-                base = Twist(LinearProfile())
-            elif "bump" in flags or "poly_bump" in flags:
-                base = Twist(PolyBumpProfile(kv.get("c", 1.0)))
-            else:
-                raise ConfigError(f"unknown twist shorthand {params!r}")
-        elif family == "disk":
+        elif kind == "twist:linear":
+            base = Twist(LinearProfile())
+        elif kind == "disk":
             try:
                 base = LocalDiskTwist.poly_bump(
                     AnnulusPoint(kv["cx"], kv["cy"]), kv["R"], kv.get("c", 1.0)
                 )
             except KeyError as e:
                 raise ConfigError(f"disk shorthand needs cx, cy, R (missing {e.args[0]})") from None
-        else:
-            raise ConfigError(f"unknown map family {family!r}")
+        else:  # twist:bump or twist:poly_bump
+            base = Twist(PolyBumpProfile(kv.get("c", 1.0)))
         return base if power == 1 else Iterate(base, power)
 
     parts = [p for p in text.split("*") if p.strip()]

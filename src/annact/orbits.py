@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import io
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,30 +42,32 @@ from .util import pairwise_sum
 SCAN_CHUNK_ROWS = 64
 # an orbit whose I - DF^q has a smaller singular value than this is degenerate
 DEGENERATE_SINGULAR_VALUE = 1e-8
+# damped Newton: at most this many steps per seed, each trying the damping
+# levels 1, d, d^2, ... (MAX_BACKTRACKS of them, d = NEWTON_DAMPING) and
+# stopping a seed whose residual falls below NEWTON_TARGET
+NEWTON_MAX_STEPS = 50
+NEWTON_DAMPING = 0.5
+MAX_BACKTRACKS = 8
+NEWTON_TARGET = 1e-12
+# two orbits closer than this (orbit_distance) are one orbit
+DEDUP_TOLERANCE = 1e-6
+# grid_scan_orbits polishes the grid points whose F^q residual is below this
+SCAN_CAPTURE = 5e-3
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Controls for the multi-start Newton search."""
+    """The census seed lattice. grid is the side of the lattice that
+    find_periodic_orbits starts Newton from (grid^2 seeds per winding).
+    max_grid caps verify_theorem's census: it doubles the grid, up to
+    max_grid, for each period that has fewer than two distinct orbits."""
 
     grid: int = 48
-    newton_max_steps: int = 50
-    newton_damping: float = 0.5
-    dedup_tolerance: float = 1e-6
-    boundary_margin: float = 0.0
     max_grid: int = 384
-    newton_target: float = 1e-12
-    max_backtracks: int = 8
 
     def __post_init__(self):
-        if min(self.grid, self.newton_max_steps, self.max_grid, self.max_backtracks) <= 0:
-            raise ValueError("grid and step counts must be positive")
-        if not (0 < self.newton_damping < 1):
-            raise ValueError("damping factor must lie in (0, 1)")
-        if min(self.dedup_tolerance, self.newton_target) <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0 <= self.boundary_margin < 0.5:
-            raise ValueError("boundary margin must lie in [0, 0.5)")
+        if min(self.grid, self.max_grid) <= 0:
+            raise ValueError("grid and max_grid must be positive")
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ def _newton_steps(g: np.ndarray, jac_g: np.ndarray):
 
 
 def _newton_polish(m: MapExpr, q: int | np.ndarray, p: int | np.ndarray, seeds: np.ndarray,
-                   cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
+                   target: float = NEWTON_TARGET) -> tuple[np.ndarray, np.ndarray]:
     """Run damped Newton from every seed; return the converged solutions and
     their windings, in seed order.
 
@@ -145,9 +147,11 @@ def _newton_polish(m: MapExpr, q: int | np.ndarray, p: int | np.ndarray, seeds: 
     second output holds the (q, p) row of each solution. Each Newton step and
     the final convergence filter work on blocks of at most the largest
     period's seed count, so merging periods makes no array larger than a
-    one-period run does. The line search tries the damping levels 1, d, d^2,
-    ... (max_backtracks of them) in order and accepts a row's first level
-    that lowers the residual enough; it tries as many levels per residual
+    one-period run does. A row stops once its residual is below target and
+    has converged if it ends below 10 target. The line search tries the
+    damping levels 1, d, d^2, ... (MAX_BACKTRACKS of them, d = NEWTON_DAMPING)
+    in order and accepts a row's first level that lowers the residual
+    enough; it tries as many levels per residual
     call as keeps levels x rows within the block, so no call is larger than
     the first Jacobian pass and each row takes the step a one-level-at-a-time
     search would take."""
@@ -155,7 +159,7 @@ def _newton_polish(m: MapExpr, q: int | np.ndarray, p: int | np.ndarray, seeds: 
     p = np.broadcast_to(p, len(z))
     q_rows = np.broadcast_to(q, len(z))
     block = int(np.bincount(q_rows).max(initial=1))
-    levels = np.cumprod([1.0] + [cfg.newton_damping] * cfg.max_backtracks)[: cfg.max_backtracks]
+    levels = np.cumprod([1.0] + [NEWTON_DAMPING] * MAX_BACKTRACKS)[:MAX_BACKTRACKS]
     active = np.ones(len(z), dtype=bool)
     done = np.zeros(len(z), dtype=bool)
 
@@ -167,7 +171,7 @@ def _newton_polish(m: MapExpr, q: int | np.ndarray, p: int | np.ndarray, seeds: 
         jac = jac - np.eye(2)
         # the norm of _residual_norm_only, so the line search compares like with like
         ni = np.hypot(g[:, 0], g[:, 1])
-        newly_done = ni < cfg.newton_target
+        newly_done = ni < target
         done[idx[newly_done]] = True
         live = ~newly_done
         if not np.any(live):
@@ -187,7 +191,7 @@ def _newton_polish(m: MapExpr, q: int | np.ndarray, p: int | np.ndarray, seeds: 
                 RowIterate(m, np.tile(q_rows[sub], len(lam))), cand.reshape(-1, 2),
                 np.tile(p[sub], len(lam))).reshape(len(lam), -1)
             improved = (cand_norm <= base_norm * (1.0 - 1e-4 * lam[:, None])) | (
-                cand_norm < cfg.newton_target
+                cand_norm < target
             )
             hit = improved.any(axis=0)
             z[sub[hit]] = cand[improved.argmax(axis=0)[hit], np.flatnonzero(hit)]
@@ -195,7 +199,7 @@ def _newton_polish(m: MapExpr, q: int | np.ndarray, p: int | np.ndarray, seeds: 
             k += len(lam)
         active[sub] = False
 
-    for _ in range(cfg.newton_max_steps):
+    for _ in range(NEWTON_MAX_STEPS):
         todo = np.nonzero(active & ~done)[0]
         if todo.size == 0:
             break
@@ -205,7 +209,7 @@ def _newton_polish(m: MapExpr, q: int | np.ndarray, p: int | np.ndarray, seeds: 
     for lo in range(0, len(z), block):
         rows = slice(lo, lo + block)
         norm = _residual_norm_only(RowIterate(m, q_rows[rows]), z[rows], p[rows])
-        ok[rows] = norm < cfg.newton_target * 10
+        ok[rows] = norm < target * 10
     return z[ok], np.stack([q_rows[ok], p[ok]], axis=1) if np.ndim(q) else p[ok]
 
 
@@ -304,8 +308,7 @@ def _dedup_orbits(orbits: list[PeriodicOrbit], tol: float) -> list[PeriodicOrbit
     return [orbits[i] for i in _dedup_indices(pts, residual, orbits[0].p, tol)]
 
 
-def _orbits_from_solutions(m: MapExpr, q: int, p: int, sols: np.ndarray,
-                           cfg: SearchConfig) -> list[PeriodicOrbit]:
+def _orbits_from_solutions(m: MapExpr, q: int, p: int, sols: np.ndarray) -> list[PeriodicOrbit]:
     """Distinct certified orbits through the (N, 2) converged Newton solutions,
     worked as arrays; a PeriodicOrbit is built only for each distinct orbit."""
     # canonicalise: list each orbit from its lexicographically least projected
@@ -322,7 +325,7 @@ def _orbits_from_solutions(m: MapExpr, q: int, p: int, sols: np.ndarray,
     ok = residual < CERTIFIED_RESIDUAL
     pts, residual, jac = pts[ok], residual[ok], jac[ok]
     stored = np.stack([pts[..., 0], np.clip(pts[..., 1], 0.0, 1.0)], axis=-1)
-    keep = _dedup_indices(stored, residual, p, cfg.dedup_tolerance)
+    keep = _dedup_indices(stored, residual, p, DEDUP_TOLERANCE)
     # build the kept orbits
     pts = pts[keep]
     vals = action_function_values(m, ActionContext.default(), pts[..., 0], pts[..., 1])
@@ -346,9 +349,9 @@ def _orbits_from_solutions(m: MapExpr, q: int, p: int, sols: np.ndarray,
     ]
 
 
-def _seed_lattice(n: int, margin: float) -> np.ndarray:
+def _seed_lattice(n: int) -> np.ndarray:
     xs = (np.arange(n, dtype=float) + 0.5) / n
-    ys = np.linspace(margin, 1.0 - margin, n)
+    ys = np.linspace(0.0, 1.0, n)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     return np.stack([X.ravel(), Y.ravel()], axis=1)
 
@@ -382,37 +385,37 @@ def find_periodic_orbits(m: MapExpr, q: int | Sequence[int],
         if len(set(ps)) < len(ps):
             raise ValueError(f"windings p must not repeat, got {ps}")
     cfg = cfg or SearchConfig()
-    lattice = _seed_lattice(cfg.grid, cfg.boundary_margin)
+    lattice = _seed_lattice(cfg.grid)
     row_p = np.repeat([w for ps in pss for w in ps], len(lattice))
     seeds = np.tile(lattice, (len(row_p) // len(lattice), 1))
     # int32 periods: the polish gathers this per-row array on every call
     row_q = np.repeat(np.array(qs, dtype=np.int32), [len(ps) * len(lattice) for ps in pss])
-    sols, tags = _newton_polish(m, row_q, row_p, seeds, cfg)
+    sols, tags = _newton_polish(m, row_q, row_p, seeds)
     sol_q, sol_p = tags.T
     return [o for k, ps in zip(qs, pss) for w in ps
-            for o in _orbits_from_solutions(m, k, w, sols[(sol_q == k) & (sol_p == w)], cfg)]
+            for o in _orbits_from_solutions(m, k, w, sols[(sol_q == k) & (sol_p == w)])]
 
 
-def refine_orbit(m: MapExpr, seed_orbit: PeriodicOrbit, target_residual: float = 1e-12,
-                 cfg: SearchConfig | None = None) -> PeriodicOrbit:
+def refine_orbit(m: MapExpr, seed_orbit: PeriodicOrbit,
+                 target_residual: float = NEWTON_TARGET) -> PeriodicOrbit:
     """Newton-polish an approximate orbit down to target_residual.
 
     The seed must already be within residual 1e-2; anything farther is outside
     Newton's reliable basin here and is reported as non-convergent. A polished
     orbit that certifies but stays above target_residual raises
-    NonConvergentError with that orbit as its value.
+    NonConvergentError with that orbit as its value. Newton stops once the
+    residual is below the smaller of target_residual and NEWTON_TARGET.
     """
-    cfg = cfg or SearchConfig()
-    cfg = replace(cfg, newton_target=min(target_residual, cfg.newton_target))
     z0 = np.array([[seed_orbit.points[0].xt, seed_orbit.points[0].y]])
     start_norm = float(_residual_norm_only(Iterate(m, seed_orbit.q), z0, seed_orbit.p)[0])
     if start_norm >= 1e-2:
         raise NonConvergentError(
             f"seed residual {start_norm:.3g} too far from a solution (need < 1e-2)")
-    sols, _ = _newton_polish(m, seed_orbit.q, seed_orbit.p, z0, cfg)
+    sols, _ = _newton_polish(m, seed_orbit.q, seed_orbit.p, z0,
+                             min(target_residual, NEWTON_TARGET))
     if len(sols) == 0:
         raise NonConvergentError("Newton refinement did not converge")
-    orbs = _orbits_from_solutions(m, seed_orbit.q, seed_orbit.p, sols[:1], cfg)
+    orbs = _orbits_from_solutions(m, seed_orbit.q, seed_orbit.p, sols[:1])
     if not orbs:
         raise NonConvergentError(
             f"refined orbit failed certification (residual >= {CERTIFIED_RESIDUAL:g})")
@@ -434,14 +437,11 @@ def orbit_action(m: MapExpr, ctx: ActionContext, orbit: PeriodicOrbit) -> float:
 # brute-force oracle and CSV export
 # ---------------------------------------------------------------------------
 
-def grid_scan_orbits(m: MapExpr, q: int, p: int, n: int = 2000,
-                     capture_threshold: float = 5e-3,
-                     cfg: SearchConfig | None = None) -> list[PeriodicOrbit]:
+def grid_scan_orbits(m: MapExpr, q: int, p: int, n: int = 2000) -> list[PeriodicOrbit]:
     """Exhaustive return-map grid scan: evaluate |F^q(z) - z - (p, 0)| on an
-    n x n grid, keep grid points under the capture threshold, polish each with
+    n x n grid, keep grid points under SCAN_CAPTURE, polish each with
     Newton, certify and dedup. Independent seeding route used to cross-check the
     lattice search."""
-    cfg = cfg or SearchConfig()
     xs = (np.arange(n, dtype=float) + 0.5) / n
     ys = (np.arange(n, dtype=float) + 0.5) / n
     fq = Iterate(m, q)
@@ -450,10 +450,10 @@ def grid_scan_orbits(m: MapExpr, q: int, p: int, n: int = 2000,
         band = ys[lo : lo + SCAN_CHUNK_ROWS]
         X, Y = np.meshgrid(xs, band, indexing="ij")
         xt, yy = fq.apply_lift(X, Y)
-        hit = np.hypot(xt - X - p, yy - Y) < capture_threshold
+        hit = np.hypot(xt - X - p, yy - Y) < SCAN_CAPTURE
         candidates.append(np.stack([X[hit], Y[hit]], axis=1))
-    sols, _ = _newton_polish(m, q, p, np.concatenate(candidates), cfg)
-    return _orbits_from_solutions(m, q, p, sols, cfg)
+    sols, _ = _newton_polish(m, q, p, np.concatenate(candidates))
+    return _orbits_from_solutions(m, q, p, sols)
 
 
 ORBIT_CSV_HEADER = "orbit_id,j,x,y,xt,q,p,residual,action"

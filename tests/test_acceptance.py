@@ -179,7 +179,7 @@ def test_criterion_6_theorem_verification_pipeline():
         )
         confirmed = 0
         for w in q6.windings:
-            scan = grid_scan_orbits(perturbed, 6, w.p, n=2000, capture_threshold=5e-3)
+            scan = grid_scan_orbits(perturbed, 6, w.p, n=2000)
             assert len(scan) >= 2
             for o in w.orbits:
                 if min(orbit_distance(o, s) for s in scan) < 1e-6:

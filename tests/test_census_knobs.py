@@ -1,8 +1,7 @@
 """Census and config knobs do what their names say, or are rejected: a census
-is one Newton run, a search needs at least one line-search level, `--grid 0`
-is a usage error, `task.n_iter` sets the length of empirical measures that
-set none, and every empirical default is the same length. A removed keyword
-is a TypeError and a removed flag a usage error. The knobs that are still
+is one Newton run, `--grid 0` is a usage error, and every empirical default
+is the same length. A removed keyword is a TypeError, a removed flag a usage
+error and a removed config key a config error. The knobs that are still
 accepted and not read change no output."""
 
 import inspect
@@ -23,20 +22,16 @@ from annact import (
     SearchConfig,
     candidate_windings,
     find_periodic_orbits,
+    grid_scan_orbits,
     lemma_boundary_identity_defect,
     measure_action,
     measure_rotation,
     orbit_distance,
     path_independence_defect,
+    refine_orbit,
     rotation_number_point,
 )
 from annact.cli import EXIT_USAGE, main
-
-
-@pytest.mark.parametrize("bad", [0, -1])
-def test_search_config_rejects_no_backtracks(bad):
-    with pytest.raises(ValueError, match="step counts must be positive"):
-        SearchConfig(grid=24, max_backtracks=bad)
 
 
 def test_census_is_one_newton_run(perturbed_rotation, monkeypatch):
@@ -58,24 +53,7 @@ def test_census_is_one_newton_run(perturbed_rotation, monkeypatch):
 
 def test_orbits_grid_zero_is_a_usage_error(capsys):
     assert main(["orbits", "--map", "twist:linear", "--q", "3", "--p", "1", "--grid", "0"]) == EXIT_USAGE
-    assert "grid and step counts must be positive" in capsys.readouterr().err
-
-
-def test_task_n_iter_sets_empirical_measure_length(tmp_path, capsys):
-    cfg = {
-        "schema_version": 1,
-        "map": {"variant": "twist", "profile": {"kind": "linear"}},
-        "measures": {"mu1": {"kind": "empirical", "seed": [0.3, 0.1]},
-                     "mu2": {"kind": "boundary_upper"}},
-        "search": {"grid": 12},
-        "task": {"q_max": 3, "n_iter": 2000},
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    main(["verify", "--config", str(path)])
-    out = capsys.readouterr().out
-    assert "n=2000" in out
-    assert "n=100000" not in out
+    assert "grid and max_grid must be positive" in capsys.readouterr().err
 
 
 def test_every_empirical_default_is_one_length():
@@ -108,6 +86,16 @@ REMOVED_KEYWORDS = {
             m, ActionContext.default(), AnnulusPoint(0.3, 0.9), _DOGLEG, tol=1e-10),
     "orbit_distance(a, b, q, p)":
         lambda m: orbit_distance(np.zeros((3, 2)), np.zeros((3, 2)), 3, 1),
+    **{f"SearchConfig({name}=)": (lambda m, name=name: SearchConfig(**{name: value}))
+       for name, value in [("newton_max_steps", 50), ("newton_damping", 0.5),
+                           ("max_backtracks", 8), ("newton_target", 1e-12),
+                           ("dedup_tolerance", 1e-6), ("boundary_margin", 0.0)]},
+    "refine_orbit(cfg=)":
+        lambda m: refine_orbit(m, None, 1e-12, cfg=SearchConfig()),
+    "grid_scan_orbits(cfg=)":
+        lambda m: grid_scan_orbits(m, 1, 0, n=4, cfg=SearchConfig()),
+    "grid_scan_orbits(capture_threshold=)":
+        lambda m: grid_scan_orbits(m, 1, 0, n=4, capture_threshold=5e-3),
 }
 
 
@@ -120,6 +108,29 @@ def test_removed_keyword_is_a_type_error(linear_twist, call):
 @pytest.mark.parametrize("command", ["action", "rotation"])
 def test_removed_n_iter_flag_is_a_usage_error(command):
     assert main([command, "--map", "twist:linear", "--n-iter", "5"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("search", "newton_damping", 0.5),
+    ("search", "newton_max_steps", 50),
+    ("search", "dedup_tolerance", 1e-6),
+    ("search", "boundary_margin", 0.0),
+    ("task", "n_iter", 2000),
+])
+def test_removed_config_key_is_a_config_error(tmp_path, capsys, section, key, value):
+    cfg = {
+        "schema_version": 1,
+        "map": {"variant": "twist", "profile": {"kind": "linear"}},
+        "measures": {"mu1": {"kind": "empirical", "seed": [0.3, 0.1]},
+                     "mu2": {"kind": "boundary_upper"}},
+        "search": {"grid": 12},
+        "task": {"q_max": 3},
+    }
+    cfg[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path)]) == EXIT_USAGE
+    assert key in capsys.readouterr().err
 
 
 def test_orbits_workers_flag_changes_nothing(tmp_path, capsys):

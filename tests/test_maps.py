@@ -1,3 +1,7 @@
+import importlib.util
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +27,7 @@ from annact import (
     map_from_config,
     map_from_shorthand,
 )
+from annact.cli import EXIT_USAGE, main
 from annact.maps import finite_difference_jacobian
 
 from conftest import random_composition
@@ -252,3 +257,37 @@ def test_shorthand():
         map_from_shorthand("hexagon:a=1")
     with pytest.raises(ConfigError):
         map_from_shorthand("disk:cx=0.5")
+
+
+@pytest.mark.parametrize("text, unread", [
+    ("disk:cx=0.5,cy=0.5,R=0.35,C=50.85", "'C'"),
+    ("rigid:0.3", "'0.3'"),
+    ("twist:bump,c=0.2,linear", "'linear'"),
+    ("twist:linear,c=5", "'c'"),
+])
+def test_shorthand_rejects_what_its_family_does_not_read(text, unread, capsys):
+    with pytest.raises(ConfigError, match=f"does not read {unread}"):
+        map_from_shorthand(text)
+    assert main(["rotation", "--map", text]) == EXIT_USAGE
+    assert unread in capsys.readouterr().err
+
+
+# a whole shorthand: factors family:key=value,flag joined by '*', each with an optional '^k'
+_FACTOR = r"(?:rigid|twist|disk):\w+(?:=[-+\w.]+)?(?:,\w+(?:=[-+\w.]+)?)*(?:\^\d+)?"
+_SHORTHAND = re.compile(rf"{_FACTOR}(?:\*{_FACTOR})*(?=[\s\"'`]|$)")
+
+
+def test_every_shorthand_in_docs_ci_scripts_and_bench_parses(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    sources = [root / "README.md", root / ".github/workflows/tests.yml",
+               *sorted((root / "scripts").iterdir())]
+    found = {src.name: _SHORTHAND.findall(src.read_text()) for src in sources}
+    assert all(found[name] for name in ("README.md", "tests.yml", "compare_outputs.sh"))
+    # the bench builds its census shorthand from the README config
+    spec = importlib.util.spec_from_file_location("workloads", root / "bench/workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    found["bench"] = [workloads.make_inputs("census-deep", 0, tmp_path)["map"]]
+    for texts in found.values():
+        for text in texts:
+            map_from_shorthand(text)

@@ -9,17 +9,26 @@ import pytest
 import annact.orbits as orbits_mod
 from annact import SearchConfig, candidate_windings, find_periodic_orbits
 from annact.maps import Iterate, random_composition
-from annact.orbits import _newton_polish, _newton_steps, _residual_norm_only, _seed_lattice
+from annact.orbits import (
+    MAX_BACKTRACKS,
+    NEWTON_DAMPING,
+    NEWTON_MAX_STEPS,
+    NEWTON_TARGET,
+    _newton_polish,
+    _newton_steps,
+    _residual_norm_only,
+    _seed_lattice,
+)
 
 
-def _sequential_polish(m, q, p, seeds, cfg):
+def _sequential_polish(m, q, p, seeds):
     """Reference: damped Newton for one winding, with a line search that tries
     one damping level per residual call."""
     fq = Iterate(m, q)
     z = np.array(seeds, dtype=float).reshape(-1, 2).copy()
     active = np.ones(len(z), dtype=bool)
     done = np.zeros(len(z), dtype=bool)
-    for _ in range(cfg.newton_max_steps):
+    for _ in range(NEWTON_MAX_STEPS):
         idx = np.nonzero(active & ~done)[0]
         if idx.size == 0:
             break
@@ -28,7 +37,7 @@ def _sequential_polish(m, q, p, seeds, cfg):
         g = np.stack([xt - zi[:, 0] - p, y - zi[:, 1]], axis=1)
         jac = jac - np.eye(2)
         ni = np.linalg.norm(g, axis=1)
-        newly_done = ni < cfg.newton_target
+        newly_done = ni < NEWTON_TARGET
         done[idx[newly_done]] = True
         live = ~newly_done
         if not np.any(live):
@@ -41,7 +50,7 @@ def _sequential_polish(m, q, p, seeds, cfg):
         lam = np.ones(len(sub))
         accepted = np.zeros(len(sub), dtype=bool)
         trial = np.empty_like(z[sub])
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             todo = ~accepted
             if not np.any(todo):
                 break
@@ -49,21 +58,21 @@ def _sequential_polish(m, q, p, seeds, cfg):
             cand[:, 1] = np.clip(cand[:, 1], 0.0, 1.0)
             cand_norm = _residual_norm_only(fq, cand, p)
             improved = (cand_norm <= base_norm[todo] * (1.0 - 1e-4 * lam[todo])) | (
-                cand_norm < cfg.newton_target
+                cand_norm < NEWTON_TARGET
             )
             sel = np.nonzero(todo)[0]
             trial[sel[improved]] = cand[improved]
             accepted[sel[improved]] = True
-            lam[sel[~improved]] *= cfg.newton_damping
+            lam[sel[~improved]] *= NEWTON_DAMPING
         z[sub[accepted]] = trial[accepted]
         active[sub[~accepted]] = False
-    return z[_residual_norm_only(fq, z, p) < cfg.newton_target * 10]
+    return z[_residual_norm_only(fq, z, p) < NEWTON_TARGET * 10]
 
 
 def _assert_polish_matches(m, q, p, cfg):
-    seeds = _seed_lattice(cfg.grid, cfg.boundary_margin)
-    want = _sequential_polish(m, q, p, seeds, cfg)
-    got, windings = _newton_polish(m, q, p, seeds, cfg)
+    seeds = _seed_lattice(cfg.grid)
+    want = _sequential_polish(m, q, p, seeds)
+    got, windings = _newton_polish(m, q, p, seeds)
     assert np.array_equal(got, want)
     assert np.array_equal(windings, np.full(len(want), p))
 

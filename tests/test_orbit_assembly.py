@@ -157,5 +157,5 @@ def test_census_keeps_no_two_copies_of_an_orbit(perturbed_rotation):
     cfg = SearchConfig(grid=48)
     orbits = find_periodic_orbits(perturbed_rotation, 7, 4, cfg)
     close = [(j, i) for i in range(len(orbits)) for j in range(i)
-             if orbit_distance(orbits[j], orbits[i]) < cfg.dedup_tolerance]
+             if orbit_distance(orbits[j], orbits[i]) < orbits_mod.DEDUP_TOLERANCE]
     assert close == []

@@ -50,13 +50,13 @@ def test_merged_periods_on_random_maps(rng):
 
 def test_per_row_polish_returns_each_periods_solutions(perturbed_rotation):
     cfg = SearchConfig(grid=24)
-    lattice = _seed_lattice(cfg.grid, cfg.boundary_margin)
+    lattice = _seed_lattice(cfg.grid)
     qs, ps = [6, 7, 8], [4, 4, 5]
     sols, tags = _newton_polish(perturbed_rotation, np.repeat(qs, len(lattice)),
-                                np.repeat(ps, len(lattice)), np.tile(lattice, (3, 1)), cfg)
+                                np.repeat(ps, len(lattice)), np.tile(lattice, (3, 1)))
     assert tags.shape == (len(sols), 2)
     for q, p in zip(qs, ps):
-        want, windings = _newton_polish(perturbed_rotation, q, p, lattice, cfg)
+        want, windings = _newton_polish(perturbed_rotation, q, p, lattice)
         mine = (tags[:, 0] == q) & (tags[:, 1] == p)
         assert len(want) > 0
         assert np.array_equal(sols[mine], want)
