@@ -15,7 +15,11 @@
 # that no command reaches: `grid_scan_orbits` on the README map at (6, 4) with
 # n = 800, and `refine_orbit` to 1e-12 from each orbit of the README map's
 # (6, 4) census at grid 48 (the refined orbit, or the NonConvergentError's
-# message and value). Exits 1 on any difference.
+# message and value). A map with an `Iterate` factor, a squared disk twist
+# after a rotation, takes the inner loop of the point pass: `action`,
+# `rotation` and the q = 3 census at grid 24 on it, and its
+# `rotation_number_point` over 2e4 steps, whose compiled orbit loop holds
+# that inner loop. Exits 1 on any difference.
 set -euo pipefail
 rev=${1:-HEAD}
 root=$(git rev-parse --show-toplevel)
@@ -25,6 +29,8 @@ mkdir "$tmp/rev"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/rev"
 readme="rigid:a=0.6180339887*disk:cx=0.5,cy=0.5,R=0.35,c=50.85"
 twist_disk="twist:bump,c=0.9*disk:cx=0.37,cy=0.52,R=0.3,c=4.2"
+# an Iterate factor: the disk twist squared, after a rotation
+it="disk:cx=0.37,cy=0.52,R=0.3,c=4.2^2*rigid:a=0.3"
 ex41=(example41 --a 0.6180339887 --center 0.5,0.5 --radius 0.35)
 # the README map with an empirical measure, which steps the one-point orbit kernel
 cat > "$tmp/empirical_config.json" <<'JSON'
@@ -72,20 +78,23 @@ run_set() {  # run_set TREE OUT: the outputs of TREE's annact, written under OUT
   cli orbits --config "$root/bench/inputs/readme_config.json" --q 6 --grid 48 \
     --out "$out/orbits_q6_48.csv" > /dev/null
   cli audit --trials 200 --seed 11 > "$out/audit.txt"
-  for m in "$readme" "$twist_disk"; do
+  for m in "$readme" "$twist_disk" "$it"; do
     cli action --map "$m" --point 0.5,0.5
     cli rotation --map "$m"
   done > "$out/action_rotation.txt"
+  cli orbits --map "$it" --q 3 --grid 24 --out "$out/iterate_q3_24.csv" > /dev/null
   PYTHONPATH="$tree/src:$root/bench" python3 - "$out.work" > "$out/invariants.txt" <<'PY'
 import pathlib, sys, workloads
 for seed in range(6):
     inputs = workloads.make_inputs("invariants", seed, pathlib.Path(sys.argv[1]))
     print(repr(workloads.run_instance("invariants", inputs)))
 PY
-  PYTHONPATH="$tree/src" python3 - "$readme" > "$out/scan_refine.txt" <<'PY'
+  PYTHONPATH="$tree/src" python3 - "$readme" "$it" > "$out/scan_refine.txt" <<'PY'
 import sys
-from annact import (NonConvergentError, SearchConfig, find_periodic_orbits,
-                    grid_scan_orbits, map_from_shorthand, refine_orbit)
+from annact import (AnnulusPoint, NonConvergentError, SearchConfig, find_periodic_orbits,
+                    grid_scan_orbits, map_from_shorthand, refine_orbit, rotation_number_point)
+print("rotation", repr(rotation_number_point(map_from_shorthand(sys.argv[2]),
+                                             AnnulusPoint(0.3, 0.55), 20000)))
 m = map_from_shorthand(sys.argv[1])
 for o in grid_scan_orbits(m, 6, 4, n=800):
     print("scan", repr(o))

@@ -521,7 +521,8 @@ def cmd_orbits(args) -> int:
     m = _resolve_map(args, cfg)
     search = _search_from_config(cfg) if cfg else SearchConfig()
     if args.grid is not None:
-        search = replace(search, grid=args.grid)
+        # the orbits census reads no max_grid; raise it so that any grid is a valid config
+        search = replace(search, grid=args.grid, max_grid=max(args.grid, search.max_grid))
     ps = [args.p] if args.p is not None else candidate_windings(m, args.q)
     all_orbits = find_periodic_orbits(m, args.q, ps, search)
     for p in ps:

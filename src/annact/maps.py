@@ -15,28 +15,31 @@ action(xt, y) is the leaf's closed-form action function for beta = y dx,
 zero on the lower boundary: 0 for a rotation, the profile potential for a
 twist, the chart formula for a disk twist. mean_values() is the leaf's mean
 action and mean displacement, exact moments of its profile. Composition and
-iteration only record their leaves, in application order. apply_lift,
-jacobian and the fused lift_with_jacobian are each one forward pass over
-leaves(), and orbit_arrays iterates that pass along orbits; the action
-function of a tree (action.action_values_raw) and the leaf-mean sum
-(quadrature.tree_field_integral) walk the same leaves. RowIterate runs that
-pass a different number of times per row, for a Newton census over several
-periods at once; each row takes exactly Iterate's steps.
+iteration only record their leaves, in application order. One stepping
+loop, _walk, steps arrays through leaves and is the one place that forms the
+stacked 2x2 product of the differentials (d @ jac, through OpenBLAS):
+apply_lift, jacobian, the fused lift_with_jacobian and RowIterate's per-row
+pass (a Newton census over several periods at once, each row taking exactly
+Iterate's steps) are walks over leaves(), and orbit_arrays iterates
+apply_lift along orbits. The action function of a tree
+(action.action_values_raw) and the leaf-mean sum
+(quadrature.tree_field_integral) walk the same leaves.
 
 step, apply_lift and the routines built on them are vectorized over numpy
 arrays. One point has its own pass, compiled from source: each leaf's
 point_source writes its step on Python floats once, as source lines with no
 numpy call, and names its numbers through a PointSource, so they never enter
-the text. A map's point pass (point_pass) is its leaves' lines in order, an
-Iterate as an inner loop, compiled once per text, that is per sequence of
-leaf kinds, and bound to the map's numbers as the globals of its functions.
-apply_point steps one point through it; eval_map, eval_lift and
-boundary_displacement take it, a scalar-start orbit_arrays runs its orbit
-loop, whose body is the map's lines, and a leaf's apply_point is its own
-lines compiled alone. Every pass rounds a point alike: an array row, a
-0-d array and a Python float get the same bits, since the built-in profiles
-square by a multiply. point_margin is kink_margin's Python-float copy, for
-the bisection of a path's support crossings.
+the text; every family writes its own, and there is no fallback to step.
+A map's point pass (point_pass) is its leaves' lines in order, an Iterate as
+an inner loop, compiled once per text, that is per sequence of leaf kinds,
+and run with the map's numbers as its globals. apply_point steps one point
+through it; eval_map, eval_lift and boundary_displacement take it, a
+scalar-start orbit_arrays runs its orbit loop, whose body is the map's
+lines, and a leaf's apply_point is its own lines compiled alone. Every pass
+rounds a point alike: an array row, a 0-d array and a Python float get the
+same bits, since the built-in profiles square by a multiply. point_margin is
+kink_margin's Python-float copy, for the bisection of a path's support
+crossings.
 
 A disk twist is the identity off its support, and one kernel, _support,
 decides its support for numpy input: u^2 + v^2 < R^2 (1 + 1e-9) screens the
@@ -54,7 +57,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import types
+import textwrap
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -408,17 +411,11 @@ class MapExpr:
         (xt', y', D) with D of shape (..., 2, 2), or None for the identity."""
         raise NotImplementedError
 
-    def step_point(self, xt: float, y: float) -> tuple[float, float]:
-        """One leaf's lift at one point in Python floats: step() at that
-        point, so it has step's bits. The default point_source calls it."""
-        xt1, y1, _ = self.step(xt, y)
-        return float(xt1), float(y1)
-
     def point_source(self, src: "PointSource") -> None:
         """Add this map's step on the Python floats xt and y to src, as lines
-        that rebind xt and y; any constant goes through src.const. This
-        default, for a leaf with no source of its own, calls step_point."""
-        src.add(f"xt, y = {src.const('step', self.step_point)}(xt, y)")
+        that rebind xt and y, with step's bits; any constant goes through
+        src.const."""
+        raise NotImplementedError
 
     def action(self, xt, y):
         """One leaf's closed-form action function g, dg = f*beta - beta with
@@ -447,9 +444,7 @@ class MapExpr:
 
     def apply_lift(self, xt, y):
         """Vectorized lift evaluation: arrays (xt, y) -> (xt', y')."""
-        for leaf in self.leaves():
-            xt, y, _ = leaf.step(xt, y)
-        return xt, y
+        return _walk(self.leaves(), xt, y)[:2]
 
     def apply_point(self, xt: float, y: float) -> tuple[float, float]:
         """Lift of one point in Python floats: the compiled point pass,
@@ -466,11 +461,7 @@ class MapExpr:
         Each leaf is stepped once; its differential left-multiplies the product
         of the ones before it.
         """
-        xt1, y1, jac = xt, y, None
-        for leaf in self.leaves():
-            xt1, y1, d = leaf.step(xt1, y1, True)
-            if d is not None:
-                jac = d if jac is None else d @ jac
+        xt1, y1, jac = _walk(self.leaves(), xt, y, True)
         if jac is None:
             jac = _identity(np.broadcast_shapes(np.shape(xt), np.shape(y)))
         return xt1, y1, jac
@@ -504,6 +495,16 @@ class MapExpr:
     def __getstate__(self):
         # a compiled point pass does not pickle; it is rebuilt on first use
         return {k: v for k, v in self.__dict__.items() if k != "_point"}
+
+
+def _walk(leaves, xt, y, with_jacobian: bool = False, jac=None):
+    """Step the arrays (xt, y) through leaves: (xt', y', D), D the walk's
+    differential times jac (None for the identity, and without with_jacobian)."""
+    for leaf in leaves:
+        xt, y, d = leaf.step(xt, y, with_jacobian)
+        if d is not None:
+            jac = d if jac is None else d @ jac
+    return xt, y, jac
 
 
 def _identity(shape) -> np.ndarray:
@@ -612,9 +613,6 @@ class LocalDiskTwist(MapExpr):
         # every point with hypot(u, v) < R has u^2 + v^2 below this bound, and
         # a point above it lies outside by far more than rounding
         self._screen = self.radius * self.radius * (1.0 + 1e-9)
-        # the chart centre as plain floats, read by the point pass
-        self._cx = center.x
-        self._cy = center.y
 
     @staticmethod
     def poly_bump(center, radius: float, c: float) -> "LocalDiskTwist":
@@ -690,14 +688,14 @@ class LocalDiskTwist(MapExpr):
     def _point_offsets(self, xt, y):
         """chart_offsets of one point in Python floats, with the same bits:
         float % 1.0 rounds w + n once, as w - floor(w) does."""
-        return (xt - self._cx + 0.5) % 1.0 - 0.5, y - self._cy
+        return (xt - self.center.x + 0.5) % 1.0 - 0.5, y - self.center.y
 
     def point_source(self, src):
         # step()'s operations in the same order: _point_offsets, the u^2 + v^2
         # screen of _support, then the radius by complex abs, which calls the
         # C library's hypot as np.hypot does (math.hypot rounds differently)
-        src.add(f"u = (xt - {src.const('cx', self._cx)} + 0.5) % 1.0 - 0.5",
-                f"v = y - {src.const('cy', self._cy)}",
+        src.add(f"u = (xt - {src.const('cx', self.center.x)} + 0.5) % 1.0 - 0.5",
+                f"v = y - {src.const('cy', self.center.y)}",
                 f"if u * u + v * v < {src.const('screen', self._screen)} "
                 f"and (r := abs(complex(u, v))) < {src.const('R', self.radius)}:")
         with src.block():
@@ -862,11 +860,7 @@ class RowIterate(MapExpr):
         top = ks.max(initial=0)
         stops = [top] if ks.min(initial=top) == top else np.flatnonzero(np.bincount(ks))
         for stop in stops:
-            for _ in range(done, stop):
-                for leaf in leaves:
-                    xt, y, d = leaf.step(xt, y, with_jacobian)
-                    if d is not None:
-                        jac = d if jac is None else d @ jac
+            xt, y, jac = _walk(leaves * int(stop - done), xt, y, with_jacobian, jac)
             done = stop
             if stop == stops[-1]:
                 break
@@ -991,29 +985,23 @@ class PointPass(NamedTuple):
 def point_pass(m: MapExpr) -> PointPass:
     """Compile m's point source into its point pass (MapExpr.apply_point and
     the scalar-start orbit_arrays read it as m._point). The code is compiled
-    once per source text, that is per sequence of leaf kinds, and bound to
-    each map's constants as the globals of its functions."""
+    once per source text, that is per sequence of leaf kinds, and run in a
+    namespace of each map's constants, which defines step and orbit with
+    those globals."""
     src = PointSource()
     m.point_source(src)
-    step, orbit = _compile_point_pass("\n".join(src.lines))
     env = {"cos": math.cos, "sin": math.sin, **src.consts}
-    return PointPass(types.FunctionType(step, env), types.FunctionType(orbit, env))
+    exec(_compile_point_pass("\n".join(src.lines)), env)
+    return PointPass(env["step"], env["orbit"])
 
 
 @functools.lru_cache(maxsize=256)
-def _compile_point_pass(body: str) -> tuple[types.CodeType, types.CodeType]:
+def _compile_point_pass(body: str):
     step = "def step(xt, y):\n{}\n    return xt, y\n"
     orbit = ("def orbit(xt, y, xv, yv):\n    xv[0] = xt\n    yv[0] = y\n"
              "    for _j in range(1, len(xv)):\n{}\n        xv[_j] = xt\n        yv[_j] = y\n")
-    code = compile(step.format(_indented(body, 1)) + orbit.format(_indented(body, 2)),
-                   "<point pass>", "exec")
-    fns = {c.co_name: c for c in code.co_consts if isinstance(c, types.CodeType)}
-    return fns["step"], fns["orbit"]
-
-
-def _indented(body: str, levels: int) -> str:
-    pad = "    " * levels
-    return "\n".join(pad + line for line in body.split("\n"))
+    return compile(step.format(textwrap.indent(body, "    "))
+                   + orbit.format(textwrap.indent(body, "        ")), "<point pass>", "exec")
 
 
 def finite_difference_jacobian(m: MapExpr, xt, y, h: float = 1e-6) -> np.ndarray:

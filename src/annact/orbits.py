@@ -60,7 +60,8 @@ class SearchConfig:
     """The census seed lattice. grid is the side of the lattice that
     find_periodic_orbits starts Newton from (grid^2 seeds per winding).
     max_grid caps verify_theorem's census: it doubles the grid, up to
-    max_grid, for each period that has fewer than two distinct orbits."""
+    max_grid, for each period that has fewer than two distinct orbits, so
+    max_grid may not lie below grid."""
 
     grid: int = 48
     max_grid: int = 384
@@ -68,6 +69,8 @@ class SearchConfig:
     def __post_init__(self):
         if min(self.grid, self.max_grid) <= 0:
             raise ValueError("grid and max_grid must be positive")
+        if self.max_grid < self.grid:
+            raise ValueError(f"max_grid ({self.max_grid}) must not lie below grid ({self.grid})")
 
 
 @dataclass(frozen=True)
@@ -310,26 +313,28 @@ def _dedup_orbits(orbits: list[PeriodicOrbit], tol: float) -> list[PeriodicOrbit
 
 def _orbits_from_solutions(m: MapExpr, q: int, p: int, sols: np.ndarray) -> list[PeriodicOrbit]:
     """Distinct certified orbits through the (N, 2) converged Newton solutions,
-    worked as arrays; a PeriodicOrbit is built only for each distinct orbit."""
+    worked as arrays; a PeriodicOrbit is built only for each distinct orbit.
+    Each chain is listed with q + 1 points, and its last step certifies it;
+    only the kept orbits take DF^q, for the degeneracy flag."""
     # canonicalise: list each orbit from its lexicographically least projected
     # point, with that lift reduced into [0, 1), regenerating the later points
     # by the map so the stored chain is exactly dynamical
     xs, ys = orbit_arrays(m, sols[:, 0], sols[:, 1], q)
     proj_x, cols = xs % 1.0, np.arange(len(sols))
     start = np.lexsort((ys, proj_x), axis=0)[0]
-    xs, ys = orbit_arrays(m, proj_x[start, cols], ys[start, cols], q)
-    pts = np.stack([xs.T, ys.T], axis=-1)
+    xs, ys = orbit_arrays(m, proj_x[start, cols], ys[start, cols], q + 1)
+    pts = np.stack([xs[:q].T, ys[:q].T], axis=-1)
     # certify by the residual of F^q at the start point
-    xt_q, y_q, jac = Iterate(m, q).lift_with_jacobian(pts[:, 0, 0], pts[:, 0, 1])
-    residual = np.maximum(np.abs(xt_q - pts[:, 0, 0] - p), np.abs(y_q - pts[:, 0, 1]))
+    residual = np.maximum(np.abs(xs[q] - xs[0] - p), np.abs(ys[q] - ys[0]))
     ok = residual < CERTIFIED_RESIDUAL
-    pts, residual, jac = pts[ok], residual[ok], jac[ok]
+    pts, residual = pts[ok], residual[ok]
     stored = np.stack([pts[..., 0], np.clip(pts[..., 1], 0.0, 1.0)], axis=-1)
     keep = _dedup_indices(stored, residual, p, DEDUP_TOLERANCE)
     # build the kept orbits
     pts = pts[keep]
     vals = action_function_values(m, ActionContext.default(), pts[..., 0], pts[..., 1])
-    smallest_sv = np.linalg.svd(jac[keep] - np.eye(2), compute_uv=False)[:, -1]
+    jac = Iterate(m, q).jacobian(pts[:, 0, 0], pts[:, 0, 1])
+    smallest_sv = np.linalg.svd(jac - np.eye(2), compute_uv=False)[:, -1]
     least_period = np.full(len(keep), q)
     for d in range(q - 1, 0, -1):  # the least d | q with z_d = z_0 + (p d / q, 0)
         if q % d == 0 == (p * d) % q:

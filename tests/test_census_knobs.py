@@ -56,6 +56,36 @@ def test_orbits_grid_zero_is_a_usage_error(capsys):
     assert "grid and max_grid must be positive" in capsys.readouterr().err
 
 
+def test_max_grid_below_grid_is_rejected():
+    with pytest.raises(ValueError, match="max_grid"):
+        SearchConfig(grid=24, max_grid=12)
+
+
+def test_verify_with_max_grid_below_grid_is_a_usage_error(tmp_path, capsys):
+    # the README config, with a cap below its grid
+    cfg = {
+        "schema_version": 1,
+        "map": {
+            "variant": "compose",
+            "outer": {"variant": "rigid_rotation", "a": 0.6180339887},
+            "inner": {"variant": "local_disk_twist", "center": [0.5, 0.5], "radius": 0.35,
+                      "profile": {"kind": "poly_bump", "c": 50.85}},
+        },
+        "measures": {"mu1": {"kind": "area"}, "mu2": {"kind": "boundary_lower"}},
+        "search": {"grid": 96, "max_grid": 48},
+        "task": {"q_max": 8},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "max_grid" in capsys.readouterr().err
+
+
+def test_orbits_grid_above_the_default_max_grid_runs():
+    # the orbits census reads no max_grid, so --grid raises it
+    assert main(["orbits", "--map", "rigid:a=0.3", "--q", "1", "--p", "0", "--grid", "400"]) == 0
+
+
 def test_every_empirical_default_is_one_length():
     seed = AnnulusPoint(0.3, 0.55)
     n = MeasureSpec.empirical(seed).n_iter

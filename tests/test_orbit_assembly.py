@@ -7,12 +7,14 @@ import annact.orbits as orbits_mod
 from annact import (
     AnnulusPoint,
     Compose,
+    Iterate,
     LocalDiskTwist,
     SearchConfig,
     candidate_windings,
     find_periodic_orbits,
     orbit_distance,
 )
+from annact.maps import orbit_arrays
 
 
 def test_census_builds_only_the_distinct_orbits(perturbed_rotation, monkeypatch):
@@ -96,6 +98,38 @@ def _greedy_dedup_indices(pts, residual, p, tol):
             kept[kept.index(window[hit[0]])] = i
     kept = np.array(kept, dtype=int)
     return kept[np.lexsort((y0[kept], x0[kept]))]
+
+
+def test_listed_chain_certifies_as_the_separate_iterate_pass(perturbed_rotation, monkeypatch):
+    """The census certifies each candidate from the last of its q + 1 listed
+    points and takes DF^q on the kept rows only; the reference is a separate
+    pass of Iterate(m, q).lift_with_jacobian at every listed start."""
+    m, q, p = perturbed_rotation, 6, 4
+    sols, _ = orbits_mod._newton_polish(m, q, p, orbits_mod._seed_lattice(48))
+    # the listing of _orbits_from_solutions
+    xs, ys = orbit_arrays(m, sols[:, 0], sols[:, 1], q)
+    cols = np.arange(len(sols))
+    start = np.lexsort((ys, xs % 1.0), axis=0)[0]
+    xs, ys = orbit_arrays(m, (xs % 1.0)[start, cols], ys[start, cols], q + 1)
+    xt_q, y_q, jac = Iterate(m, q).lift_with_jacobian(xs[0], ys[0])
+    want = np.maximum(np.abs(xt_q - xs[0] - p), np.abs(y_q - ys[0]))
+    got = np.maximum(np.abs(xs[q] - xs[0] - p), np.abs(ys[q] - ys[0]))
+    assert got.tobytes() == want.tobytes()
+
+    taken = []
+    differential = Iterate.jacobian
+
+    def recording(self, x, y):
+        d = differential(self, x, y)
+        taken.append((x.tolist(), y.tolist(), d))
+        return d
+
+    monkeypatch.setattr(Iterate, "jacobian", recording)
+    orbits = orbits_mod._orbits_from_solutions(m, q, p, sols)
+    [(x0, y0, d)] = taken
+    assert len(x0) == len(orbits) == 15 < len(sols)
+    row = {pt: i for i, pt in enumerate(zip(xs[0].tolist(), ys[0].tolist()))}
+    assert d.tobytes() == jac[[row[pt] for pt in zip(x0, y0)]].tobytes()
 
 
 def _disk_map(golden_rotation, c):

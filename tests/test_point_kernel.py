@@ -75,9 +75,9 @@ def test_step_point_equals_step_bit_for_bit(kind, rng):
         inside = outside = 0
         for xt, y in pts:
             want_xt, want_y, _ = leaf.step(xt, y)
-            for got in (leaf.apply_point(xt, y), leaf.step_point(xt, y)):
-                assert type(got[0]) is float and type(got[1]) is float
-                assert (_bits(got[0]), _bits(got[1])) == (_bits(want_xt), _bits(want_y)), (leaf, xt, y)
+            got = leaf.apply_point(xt, y)
+            assert type(got[0]) is float and type(got[1]) is float
+            assert (_bits(got[0]), _bits(got[1])) == (_bits(want_xt), _bits(want_y)), (leaf, xt, y)
             if isinstance(leaf, LocalDiskTwist):
                 if float(np.hypot(*leaf.chart_offsets(xt, y))) < R:
                     inside += 1
@@ -87,14 +87,14 @@ def test_step_point_equals_step_bit_for_bit(kind, rng):
             assert inside > 20 and outside > 20
 
 
-def test_step_point_default_is_float_of_step():
+def test_a_map_with_only_a_step_has_no_point_pass():
+    # every family writes its own point source; there is no fallback to step
     class Shear(MapExpr):
         def step(self, xt, y, with_jacobian=False):
             return np.asarray(xt, dtype=float) + 0.1 * np.sin(np.asarray(y, dtype=float)), y, None
 
-    got = Shear().step_point(0.25, 0.5)
-    assert got == (float(0.25 + 0.1 * np.sin(0.5)), 0.5)
-    assert type(got[0]) is float and type(got[1]) is float
+    with pytest.raises(NotImplementedError):
+        Shear().apply_point(0.25, 0.5)
 
 
 def _numpy_point_orbit(m, x, y, n):
@@ -215,7 +215,6 @@ def test_screened_step_point_at_the_support_circle(which, rng):
     for xt, y in near_circle + near_screen + inside_ring:
         want_xt, want_y, _ = disk.step(np.asarray(xt), np.asarray(y))
         assert disk.apply_point(xt, y) == (float(want_xt), float(want_y)), (xt, y)
-        assert disk.step_point(xt, y) == (float(want_xt), float(want_y)), (xt, y)
 
 
 def _disk_cases(rng):
