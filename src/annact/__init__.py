@@ -16,7 +16,6 @@ from .phase_space import (
     project,
 )
 from .maps import (
-    BoundaryCircleMap,
     Compose,
     Iterate,
     LinearProfile,
@@ -29,10 +28,6 @@ from .maps import (
     TabulatedRadial,
     Twist,
     area_defect,
-    boundary_circle_map,
-    differential,
-    eval_lift,
-    eval_map,
     map_from_config,
     map_from_shorthand,
 )
@@ -62,7 +57,6 @@ from .orbits import (
     SearchConfig,
     find_periodic_orbits,
     grid_scan_orbits,
-    orbit_action,
     orbit_distance,
     orbits_to_csv,
     refine_orbit,

@@ -33,8 +33,8 @@ the text; every family writes its own, and there is no fallback to step.
 A map's point pass (point_pass) is its leaves' lines in order, an Iterate as
 an inner loop, compiled once per text, that is per sequence of leaf kinds,
 and run with the map's numbers as its globals. apply_point steps one point
-through it; eval_map, eval_lift and boundary_displacement take it, a
-scalar-start orbit_arrays runs its orbit loop, whose body is the map's
+through it; calling a map on an AnnulusPoint and boundary_displacement take
+it, a scalar-start orbit_arrays runs its orbit loop, whose body is the map's
 lines, and a leaf's apply_point is its own lines compiled alone. Every pass
 rounds a point alike: an array row, a 0-d array and a Python float get the
 same bits, since the built-in profiles square by a multiply. point_margin is
@@ -58,13 +58,12 @@ import contextlib
 import functools
 import math
 import textwrap
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .phase_space import AnnulusPoint, LiftedPoint, wrap_turn
+from .phase_space import AnnulusPoint, wrap_turn
 from .util import gauss_nodes_unit
 
 
@@ -490,7 +489,8 @@ class MapExpr:
     # conveniences -----------------------------------------------------------
 
     def __call__(self, p: AnnulusPoint) -> AnnulusPoint:
-        return eval_map(self, p)
+        xt, y = self.apply_point(p.x, p.y)
+        return AnnulusPoint(wrap_turn(xt)[0], y)
 
     def __getstate__(self):
         # a compiled point pass does not pickle; it is rebuilt on first use
@@ -892,20 +892,6 @@ class RowIterate(MapExpr):
 # operations
 # ---------------------------------------------------------------------------
 
-def eval_map(m: MapExpr, p: AnnulusPoint) -> AnnulusPoint:
-    xt, y = m.apply_point(p.x, p.y)
-    frac, _ = wrap_turn(xt)
-    return AnnulusPoint(frac, y)
-
-
-def eval_lift(m: MapExpr, p: LiftedPoint) -> LiftedPoint:
-    return LiftedPoint(*m.apply_point(p.xt, p.y))
-
-
-def differential(m: MapExpr, p: AnnulusPoint) -> np.ndarray:
-    return m.jacobian(p.x, p.y)
-
-
 def orbit_arrays(m: MapExpr, x, y, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Lifted orbit z_0 .. z_{n-1} of (x, y) under m, as arrays xs, ys of
     shape (n,) + the broadcast shape of x and y.
@@ -1033,38 +1019,6 @@ def area_defect(m: MapExpr, n: int = 64) -> float:
     jac = m.jacobian(X, Y)
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     return float(np.max(np.abs(det - 1.0)))
-
-
-@dataclass(frozen=True)
-class BoundaryCircleMap:
-    """Lifted circle map of a boundary restriction.
-
-    displacement is the exact per-step advance, m.boundary_displacement(which):
-    every member of this algebra restricts to a rigid rotation on each boundary
-    circle (rotations and twists advance by a constant there, disk twists are
-    the identity), so one forward pass from one boundary point gives it.
-    """
-
-    map: MapExpr
-    which: str
-    displacement: float
-
-    @property
-    def y_boundary(self) -> float:
-        return 0.0 if self.which == "lower" else 1.0
-
-    def __call__(self, xt):
-        out, _ = self.map.apply_lift(np.asarray(xt, dtype=float), np.full_like(np.asarray(xt, dtype=float), self.y_boundary))
-        return out
-
-    def orbit(self, x0: float, n: int) -> np.ndarray:
-        """Lifted boundary orbit x_0 .. x_n (n+1 points), computed exactly from
-        the rigid displacement."""
-        return float(x0) + self.displacement * np.arange(n + 1, dtype=float)
-
-
-def boundary_circle_map(m: MapExpr, which: str) -> BoundaryCircleMap:
-    return BoundaryCircleMap(m, which, m.boundary_displacement(which))
 
 
 # ---------------------------------------------------------------------------

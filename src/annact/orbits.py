@@ -26,13 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import (
-    CERTIFIED_RESIDUAL,
-    ActionContext,
-    MeasureSpec,
-    action_function_values,
-    measure_action,
-)
+from .action import CERTIFIED_RESIDUAL, ActionContext, action_function_values
 from .errors import NonConvergentError
 from .maps import Iterate, MapExpr, RowIterate, orbit_arrays
 from .phase_space import LiftedPoint
@@ -77,11 +71,12 @@ class SearchConfig:
 class PeriodicOrbit:
     """A certified (q, p) periodic orbit.
 
-    points[j+1] = eval_lift(points[j]) holds to machine precision; the listing
-    starts at the lexicographically least projected point with its lift in
-    [0, 1). residual is the max-norm of F^q(z0) - z0 - (p, 0). action is the
-    mean of the action function over the points, always in the canonical
-    context (beta = y dx, base point (0, 0)).
+    m.apply_point(pt.xt, pt.y) of pt = points[j] is points[j+1] to machine
+    precision; the listing starts at the lexicographically least projected
+    point with its lift in [0, 1). residual is the max-norm of
+    F^q(z0) - z0 - (p, 0). action is the mean of the action function over
+    the points, always in the canonical context (beta = y dx, base point
+    (0, 0)).
     """
 
     q: int
@@ -302,15 +297,6 @@ def _dedup_indices(pts: np.ndarray, residual: np.ndarray, p: int, tol: float) ->
     return kept[np.lexsort((y0[kept], x0[kept]))]
 
 
-def _dedup_orbits(orbits: list[PeriodicOrbit], tol: float) -> list[PeriodicOrbit]:
-    """Distinct orbits among (q, p) orbits of one type, in canonical order."""
-    if not orbits:
-        return []
-    pts = np.array([o.point_array() for o in orbits])
-    residual = np.array([o.residual for o in orbits])
-    return [orbits[i] for i in _dedup_indices(pts, residual, orbits[0].p, tol)]
-
-
 def _orbits_from_solutions(m: MapExpr, q: int, p: int, sols: np.ndarray) -> list[PeriodicOrbit]:
     """Distinct certified orbits through the (N, 2) converged Newton solutions,
     worked as arrays; a PeriodicOrbit is built only for each distinct orbit.
@@ -429,13 +415,6 @@ def refine_orbit(m: MapExpr, seed_orbit: PeriodicOrbit,
             f"refined orbit missed the target residual: reached {orbs[0].residual:.3g}, "
             f"target {target_residual:.3g}", value=orbs[0])
     return orbs[0]
-
-
-def orbit_action(m: MapExpr, ctx: ActionContext, orbit: PeriodicOrbit) -> float:
-    """Average of the action function over the orbit points."""
-    if not orbit.certified:
-        raise ValueError("orbit must be certified before evaluating its action")
-    return measure_action(m, ctx, MeasureSpec.from_orbit(orbit)).value
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .maps import MapExpr
-from .util import gauss_nodes_unit, pairwise_sum, refine_by_doubling
+from .util import gauss_nodes_unit, pairwise_sum, refine_all_by_doubling
 
 
 def tensor_annulus_integral(fn: Callable, tol: float = 1e-9, n0: int = 32,
@@ -32,7 +32,8 @@ def tensor_annulus_integral(fn: Callable, tol: float = 1e-9, n0: int = 32,
         contrib = vals * (wy[None, :] / n)
         return pairwise_sum(contrib.ravel())
 
-    return refine_by_doubling(rule, tol, max_doublings, "tensor quadrature")
+    return refine_all_by_doubling(lambda jobs: [rule(scale) for _, scale in jobs], 1,
+                                  tol, max_doublings, "tensor quadrature")[0]
 
 
 def tree_field_integral(m: MapExpr) -> tuple[float, float]:

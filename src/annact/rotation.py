@@ -25,7 +25,7 @@ from .action import (
     empirical_orbit,
     measure_action,
 )
-from .maps import MapExpr, RigidRotation, Twist, boundary_circle_map
+from .maps import MapExpr, RigidRotation, Twist
 from .phase_space import AnnulusPoint
 from .quadrature import tree_field_integral
 from .util import wrap_turn
@@ -93,8 +93,7 @@ def boundary_rotation_number(m: MapExpr, which: str) -> RotationValue:
     boundary (constant lift displacement), so the Birkhoff limit is attained
     exactly; the displacement is one forward pass from a boundary point.
     """
-    bcm = boundary_circle_map(m, which)
-    return RotationValue(bcm.displacement, 0.0, exact=True)
+    return RotationValue(m.boundary_displacement(which), 0.0, exact=True)
 
 
 def mean_rotation_area(m: MapExpr) -> RotationValue:

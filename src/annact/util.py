@@ -43,29 +43,19 @@ def gauss_nodes_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def refine_by_doubling(rule: Callable[[int], float], tol: float, max_doublings: int,
-                       what: str) -> tuple[float, float]:
-    """Evaluate rule(scale) at resolution scales 1, 2, 4, ... until two
-    successive values differ by less than tol.
-
-    Returns (value, last increment); raises NonConvergentError, carrying both,
-    after max_doublings doublings.
-    """
-    return refine_all_by_doubling(lambda jobs: [rule(scale) for _, scale in jobs], 1,
-                                  tol, max_doublings, what)[0]
-
-
 def refine_all_by_doubling(evaluate: Callable[[list[tuple[int, int]]], list[float]], n: int,
                            tol: float, max_doublings: int, what: str) -> list[tuple[float, float]]:
-    """refine_by_doubling for n rules at once, in rounds.
+    """Evaluate n rules at resolution scales 1, 2, 4, ... until two
+    successive values of each differ by less than tol: (value, last
+    increment) per rule.
 
     evaluate(jobs) returns the value of rule i at scale s for each job
     (i, s), in order. The first round asks for scales 1 and 2 of every rule;
     each later round asks for the next scale of the rules whose last two
-    values still differ by tol or more. Each rule gets the values, stopping
-    rule and result that refine_by_doubling gives it alone. When rules are
-    still refining after max_doublings doublings, the first of them raises
-    its NonConvergentError.
+    values still differ by tol or more, so each rule gets the values and
+    result it would get alone (n = 1). When rules are still refining after
+    max_doublings doublings, the first of them raises its
+    NonConvergentError, carrying its last value and increment.
     """
     if not n:
         return []

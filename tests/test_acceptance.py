@@ -239,12 +239,9 @@ def test_criterion_8_property_suites(rng):
                 if mu.variant == "empirical":
                     xs, ys = _orbit_arrays(m, mu.seed, mu.n_iter)
                 else:
-                    from annact.maps import boundary_circle_map
-
                     which = "lower" if mu.variant == "boundary_lower" else "upper"
-                    bc = boundary_circle_map(m, which)
-                    xs = bc.orbit(0.0, mu.n_iter - 1)
-                    ys = np.full_like(xs, bc.y_boundary)
+                    xs = m.boundary_displacement(which) * np.arange(mu.n_iter, dtype=float)
+                    ys = np.full_like(xs, 0.0 if which == "lower" else 1.0)
                 g_vals = action_function_values(m, CTX, xs, ys)
                 fx, fy = m.apply_lift(xs, ys)
                 modified = float(np.mean(g_vals + s_fn(fx, fy) - s_fn(xs, ys)))

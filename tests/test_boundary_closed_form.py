@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from annact import ActionContext, AnnulusPoint, MeasureSpec, boundary_circle_map, measure_action
+from annact import ActionContext, AnnulusPoint, MeasureSpec, measure_action
 from annact.action import action_function_values
 from annact.util import pairwise_sum
 from conftest import random_composition
@@ -19,10 +19,9 @@ def test_boundary_actions_match_birkhoff_means(rng):
     for _ in range(20):
         m = random_composition(rng, max_leaves=4)
         for ctx in CONTEXTS:
-            for which in ("lower", "upper"):
+            for which, y_b in (("lower", 0.0), ("upper", 1.0)):
                 exact = measure_action(m, ctx, MeasureSpec(f"boundary_{which}", n_iter=n))
-                bcm = boundary_circle_map(m, which)
-                xs = bcm.orbit(0.0, n - 1)
-                vals = action_function_values(m, ctx, xs % 1.0, np.full_like(xs, bcm.y_boundary))
+                xs = m.boundary_displacement(which) * np.arange(n, dtype=float)
+                vals = action_function_values(m, ctx, xs % 1.0, np.full_like(xs, y_b))
                 assert exact.error_estimate == 0.0
                 assert abs(exact.value - pairwise_sum(vals) / n) <= 1e-14

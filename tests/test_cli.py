@@ -254,3 +254,32 @@ def test_degenerate_gap_goes_to_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("DegenerateGap: ")
+
+
+def test_verify_with_an_orbit_measure(tmp_path, capsys):
+    # mu1 is orbit 0 of the (6, 4) census at the config's grid; its rotation
+    # number is p / q exactly
+    cfg = {
+        "schema_version": 1,
+        "map": README_MAP,
+        "measures": {"mu1": {"kind": "orbit", "q": 6, "p": 4, "index": 0},
+                     "mu2": {"kind": "area"}},
+        "search": {"grid": 24},
+        "task": {"q_max": 8},
+    }
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--out-dir", str(out)]) == EXIT_OK
+    mu1 = json.loads((out / "report.json").read_text())["measures"][0]
+    assert mu1["role"] == "mu1" and mu1["description"] == "orbit(q=6,p=4)"
+    assert mu1["rotation"] == 4 / 6 and mu1["rotation_error"] == 0.0
+    capsys.readouterr()
+    cfg["measures"]["mu1"]["index"] = 999
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == EXIT_USAGE
+    assert ("census found 7 orbit(s) of type (6,4), index 999 unavailable"
+            in capsys.readouterr().err)
+
+
+def test_verify_needs_a_measures_section(tmp_path, capsys):
+    cfg = {k: v for k, v in TWIST_VERIFY.items() if k != "measures"}
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == EXIT_USAGE
+    assert "verify needs a 'measures' section" in capsys.readouterr().err

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
+import annact.harness as H
 from annact import (
     ActionContext,
     AnnulusPoint,
     DegenerateGapError,
+    LiftedPoint,
     MeasureSpec,
+    PeriodicOrbit,
     RigidRotation,
     SearchConfig,
     action_gap,
     candidate_windings,
     example_local_perturbation,
     find_periodic_orbits,
-    orbit_action,
+    measure_action,
     orbit_distance,
     q_threshold,
     verify_theorem,
@@ -288,4 +291,32 @@ def test_census_orbit_actions_are_canonical_orbit_means(perturbed_rotation):
     assert len(orbits) == 57
     ctx = ActionContext.default()
     for o in orbits:
-        assert o.action == orbit_action(perturbed_rotation, ctx, o)
+        assert o.action == measure_action(perturbed_rotation, ctx, MeasureSpec.from_orbit(o)).value
+
+
+def test_is_prime_matches_a_sieve():
+    sieve = [False, False] + [True] * 99
+    for n in range(2, 11):
+        for k in range(n * n, 101, n):
+            sieve[k] = False
+    assert [H._is_prime(n) for n in range(101)] == sieve
+
+
+def test_prime_period_needs_two_orbits_of_least_period_q(linear_twist, monkeypatch):
+    # at the prime q = 3, two certified orbits of least period 1 turn a PASS into a FAIL
+    def two_fixed_points(m, qs, ps, cfg):
+        assert list(qs) == [3]
+        return [PeriodicOrbit(q=3, p=ps[0][0], points=(LiftedPoint(x, 0.5),) * 3, residual=0.0,
+                              least_period=1, action=0.125, degenerate_flag=False)
+                for x in (0.1, 0.6)]
+
+    up, lo = MeasureSpec("boundary_upper"), MeasureSpec("boundary_lower")
+    honest = verify_theorem(linear_twist, up, lo, q_max=3, cfg=SearchConfig(grid=12))
+    assert [(r.q, r.verdict, r.prime_least_period_ok) for r in honest.results] == [(3, "PASS", True)]
+    monkeypatch.setattr(H, "find_periodic_orbits", two_fixed_points)
+    rep = verify_theorem(linear_twist, up, lo, q_max=3, cfg=SearchConfig(grid=12))
+    (r,) = rep.results
+    assert (r.q, r.distinct_orbits, r.verdict) == (3, 2, "FAIL")
+    assert r.prime_least_period_ok is False
+    assert "prime period: fewer than two orbits with least period q" in r.notes
+    assert rep.overall_verdict == "FAIL"

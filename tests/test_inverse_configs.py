@@ -9,7 +9,14 @@ from jsonschema.validators import validator_for
 
 from annact import AnnulusPoint, LinearProfile, LocalDiskTwist, PolyBumpProfile, Twist
 from annact.cli import CONFIG_SCHEMA
-from annact.maps import Compose, RigidRotation, TabulatedProfile, TabulatedRadial, map_from_config
+from annact.maps import (
+    Compose,
+    Iterate,
+    RigidRotation,
+    TabulatedProfile,
+    TabulatedRadial,
+    map_from_config,
+)
 
 YS = np.linspace(0.0, 1.0, 9)
 RS = np.linspace(0.0, 0.3, 7)
@@ -29,6 +36,7 @@ MAPS = {
     "twist-tabulated": Twist(TabulatedProfile(YS, np.sin(np.linspace(0.0, 3.0, 9)))),
     "disk-tabulated": LocalDiskTwist(AnnulusPoint(0.37, 0.52), 0.3,
                                      TabulatedRadial(RS, 4.0 * (1.0 - (RS / 0.3) ** 2) ** 2)),
+    "readme-cubed": Iterate(_readme_map(), 3),
 }
 
 
@@ -69,3 +77,19 @@ def test_negated_twice_in_a_config_loads():
 def test_negated_profile_without_a_base_is_rejected():
     bad = {"schema_version": 1, "map": {"variant": "twist", "profile": {"kind": "negated"}}}
     assert not validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).is_valid(bad)
+
+
+def test_iterate_config_round_trips():
+    it = MAPS["readme-cubed"]
+    cfg = it.to_config()
+    assert cfg["variant"] == "iterate" and cfg["k"] == 3
+    validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).validate(_config(it))
+    loaded = map_from_config(cfg)
+    assert (loaded.describe(), repr(loaded)) == (it.describe(), repr(it))
+    for got, want in zip(loaded.apply_lift(POINTS[:, 0], POINTS[:, 1]),
+                         it.apply_lift(POINTS[:, 0], POINTS[:, 1])):
+        assert np.array_equal(got, want)
+    # the inverse after the map is the identity
+    xt, y = it.inverse().apply_lift(*it.apply_lift(POINTS[:, 0], POINTS[:, 1]))
+    assert np.max(np.abs(xt - POINTS[:, 0])) < 1e-12
+    assert np.max(np.abs(y - POINTS[:, 1])) < 1e-12

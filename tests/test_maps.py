@@ -10,7 +10,6 @@ from annact import (
     Compose,
     ConfigError,
     Iterate,
-    LiftedPoint,
     LinearProfile,
     LocalDiskTwist,
     PolyBumpProfile,
@@ -20,10 +19,6 @@ from annact import (
     TabulatedRadial,
     Twist,
     area_defect,
-    boundary_circle_map,
-    differential,
-    eval_lift,
-    eval_map,
     map_from_config,
     map_from_shorthand,
 )
@@ -34,33 +29,33 @@ from conftest import random_composition
 
 
 def test_eval_examples(strong_bump):
-    out = eval_map(RigidRotation(0.3), AnnulusPoint(0.9, 0.4))
+    out = RigidRotation(0.3)(AnnulusPoint(0.9, 0.4))
     assert out.x == pytest.approx(0.2, abs=1e-15) and out.y == 0.4
-    out = eval_map(Twist(LinearProfile()), AnnulusPoint(0.25, 0.5))
+    out = Twist(LinearProfile())(AnnulusPoint(0.25, 0.5))
     assert out.x == pytest.approx(0.75, abs=1e-15) and out.y == 0.5
     # identity outside the chart disk, exactly
-    out = eval_map(strong_bump, AnnulusPoint(0.9, 0.9))
+    out = strong_bump(AnnulusPoint(0.9, 0.9))
     assert out.x == 0.9 and out.y == 0.9
 
 
 def test_eval_lift_examples(strong_bump):
-    out = eval_lift(RigidRotation(0.3), LiftedPoint(0.9, 0.4))
-    assert out.xt == pytest.approx(1.2, abs=1e-15) and out.y == 0.4
+    xt, y = RigidRotation(0.3).apply_point(0.9, 0.4)
+    assert xt == pytest.approx(1.2, abs=1e-15) and y == 0.4
     # the rotation parameter is a real lift displacement, never reduced mod 1
-    assert eval_lift(RigidRotation(2.3), LiftedPoint(0.0, 0.5)).xt == 2.3
+    assert RigidRotation(2.3).apply_point(0.0, 0.5)[0] == 2.3
     assert RigidRotation(2.3).boundary_displacement("upper") == 2.3
     # iterated linear twist has the closed-form lift xt + k*y
-    out = eval_lift(Iterate(Twist(LinearProfile()), 4), LiftedPoint(0.0, 0.5))
-    assert out.xt == pytest.approx(0.0 + 4 * 0.5, abs=1e-15)
+    xt, _ = Iterate(Twist(LinearProfile()), 4).apply_point(0.0, 0.5)
+    assert xt == pytest.approx(0.0 + 4 * 0.5, abs=1e-15)
     # composing with a rotation is still the rotation away from the support
     m = Compose(RigidRotation(0.3), strong_bump)
-    out = eval_lift(m, LiftedPoint(2.9, 0.95))
-    assert out.xt == pytest.approx(3.2, abs=1e-15) and out.y == 0.95
+    xt, y = m.apply_point(2.9, 0.95)
+    assert xt == pytest.approx(3.2, abs=1e-15) and y == 0.95
 
 
 def test_differential_examples():
-    assert np.array_equal(differential(RigidRotation(0.7), AnnulusPoint(0.3, 0.3)), np.eye(2))
-    twist_jac = differential(Twist(LinearProfile()), AnnulusPoint(0.1, 0.8))
+    assert np.array_equal(RigidRotation(0.7).jacobian(0.3, 0.3), np.eye(2))
+    twist_jac = Twist(LinearProfile()).jacobian(0.1, 0.8)
     assert np.array_equal(twist_jac, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
@@ -97,27 +92,24 @@ def test_area_defect_examples(rng, strong_bump):
 
 
 def test_boundary_circle_maps(strong_bump):
-    lower = boundary_circle_map(RigidRotation(0.25), "lower")
-    assert lower.displacement == 0.25
     xs = np.linspace(-1, 2, 7)
-    assert np.allclose(lower(xs), xs + 0.25, atol=0)
-    upper = boundary_circle_map(Twist(LinearProfile()), "upper")
-    assert upper.displacement == 1.0
-    for which in ("lower", "upper"):
-        bc = boundary_circle_map(strong_bump, which)
-        assert bc.displacement == 0.0
-        assert np.array_equal(bc(xs), xs)
+    rot = RigidRotation(0.25)
+    assert rot.boundary_displacement("lower") == 0.25
+    assert np.allclose(rot.apply_lift(xs, np.zeros_like(xs))[0], xs + 0.25, atol=0)
+    assert Twist(LinearProfile()).boundary_displacement("upper") == 1.0
+    for which, yb in (("lower", 0.0), ("upper", 1.0)):
+        assert strong_bump.boundary_displacement(which) == 0.0
+        assert np.array_equal(strong_bump.apply_lift(xs, np.full_like(xs, yb))[0], xs)
 
 
 def test_boundary_rigidity_against_lift(rng):
-    # the displacement attribute must agree with the true lifted circle map
+    # boundary_displacement must agree with the true lifted circle map
     for _ in range(10):
         m = random_composition(rng)
         for which, yb in (("lower", 0.0), ("upper", 1.0)):
-            bc = boundary_circle_map(m, which)
             xs = rng.uniform(-2, 2, size=50)
             out, yout = m.apply_lift(xs, np.full(50, yb))
-            assert np.max(np.abs(out - xs - bc.displacement)) < 1e-12
+            assert np.max(np.abs(out - xs - m.boundary_displacement(which))) < 1e-12
             assert np.array_equal(yout, np.full(50, yb))
 
 

@@ -1,22 +1,23 @@
+import numpy as np
 import pytest
 
 from annact import (
     ActionContext,
     Iterate,
     LiftedPoint,
+    MeasureSpec,
     NonConvergentError,
     PeriodicOrbit,
     RigidRotation,
     SearchConfig,
-    eval_lift,
     find_periodic_orbits,
     grid_scan_orbits,
-    orbit_action,
+    measure_action,
     orbit_distance,
     orbits_to_csv,
     refine_orbit,
 )
-from annact.orbits import ORBIT_CSV_HEADER, _dedup_orbits
+from annact.orbits import ORBIT_CSV_HEADER, _dedup_indices
 
 
 def test_linear_twist_degenerate_circle(linear_twist):
@@ -44,20 +45,22 @@ def test_orbit_chain_consistency(perturbed_rotation):
     for o in orbits:
         assert o.certified
         for a, b in zip(o.points, o.points[1:]):
-            img = eval_lift(perturbed_rotation, a)
-            assert abs(img.xt - b.xt) < 1e-12
-            assert abs(img.y - b.y) < 1e-12
+            xt, y = perturbed_rotation.apply_point(a.xt, a.y)
+            assert abs(xt - b.xt) < 1e-12
+            assert abs(y - b.y) < 1e-12
         # winding bookkeeping: the stored lift advances by exactly p
-        last = eval_lift(perturbed_rotation, o.points[-1])
-        assert round(last.xt - o.points[0].xt) == o.p
+        last_xt, _ = perturbed_rotation.apply_point(o.points[-1].xt, o.points[-1].y)
+        assert round(last_xt - o.points[0].xt) == o.p
         assert o.points[0].xt < 1.0 and o.points[0].xt >= 0.0
 
 
 def test_dedup_idempotent_and_metric(perturbed_rotation):
     orbits = find_periodic_orbits(perturbed_rotation, 6, 3, SearchConfig(grid=32))
     assert len(orbits) >= 2
-    again = _dedup_orbits(list(orbits), 1e-6)
-    assert [o.points for o in again] == [o.points for o in orbits]
+    pts = np.array([o.point_array() for o in orbits])
+    residual = np.array([o.residual for o in orbits])
+    again = _dedup_indices(pts, residual, orbits[0].p, 1e-6)
+    assert [orbits[i].points for i in again] == [o.points for o in orbits]
     assert orbit_distance(orbits[0], orbits[0]) < 1e-12
     assert orbit_distance(orbits[0], orbits[1]) > 1e-6
 
@@ -121,7 +124,8 @@ def test_orbit_action_closed_form(linear_twist):
     ctx = ActionContext.default()
     orbits = find_periodic_orbits(linear_twist, 4, 3, SearchConfig(grid=16))
     for o in orbits[:3]:
-        assert orbit_action(linear_twist, ctx, o) == pytest.approx((3 / 4) ** 2 / 2, abs=1e-12)
+        value = measure_action(linear_twist, ctx, MeasureSpec.from_orbit(o)).value
+        assert value == pytest.approx((3 / 4) ** 2 / 2, abs=1e-12)
 
 
 def test_iterate_orbit_structure(linear_twist):

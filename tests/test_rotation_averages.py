@@ -21,7 +21,6 @@ from annact import (
     RigidRotation,
     SearchConfig,
     Twist,
-    boundary_circle_map,
     find_periodic_orbits,
     map_from_config,
     measure_action,
@@ -121,7 +120,7 @@ def test_tree_displacement_is_k_times_the_leaf_sum(rng, which, y_b):
             tree = m if k == 1 else Iterate(m, k)
             got = tree.boundary_displacement(which)
             assert got == pytest.approx(k * leaf_sum, abs=1e-12)
-            assert boundary_circle_map(tree, which).displacement == got
+            assert measure_rotation(tree, MeasureSpec(f"boundary_{which}")).value == got
 
 
 def test_boundary_selector_is_checked(perturbed_rotation):
